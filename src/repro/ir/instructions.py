@@ -92,8 +92,9 @@ class OnChipSolve:
 
 @dataclass(frozen=True)
 class Unsplit:
-    """Invert ``steps`` PCR split steps on the solution (a host-side
-    gather; free)."""
+    """Invert ``steps`` PCR split steps on the solution (free). Nothing
+    runs on the host: the split stages keep the original equation order
+    (:class:`~repro.kernels.chain.SplitChain`)."""
 
     steps: int
 
@@ -119,8 +120,8 @@ class BatchedSolve:
 
     Replaces a ``SplitCoop``/``SplitBlock``/``OnChipSolve``/``Unsplit``
     chain: ``stage1_steps + stage2_steps`` coalesced global split passes
-    over the interleaved batch, the hybrid smem PCR-Thomas solve, and
-    the inverse gathers, all as single NumPy sweeps per pass. Emitted
+    over the interleaved batch and the hybrid smem PCR-Thomas solve,
+    each pass a vectorised sweep over the whole batch. Emitted
     only by the fusion pass (:func:`repro.ir.passes.fuse_batched`);
     numerics are bit-identical to the chain it replaces.
     """
@@ -175,8 +176,8 @@ class Fixed:
 
 
 # Opcodes that are bookkeeping only: never priced, never drawn on a
-# timeline (they still execute — padding and unsplitting are real host
-# array operations — but cost nothing in the machine model).
+# timeline (padding still runs as a host array operation, but costs
+# nothing in the machine model).
 MARKER_OPS = (Pad, Unpad, Unsplit, Barrier)
 
 _ENGINES = ("compute", "xfer")

@@ -1,14 +1,9 @@
 """Simulated GPU kernels: exact numerics + machine-model cost accounting."""
 
 from .batched import (
-    BatchedPcrKernel,
     BatchedSweepKernel,
-    BatchedThomasKernel,
     batched_pcr_solve,
-    batched_pcr_split,
     batched_pcr_thomas_sweep,
-    batched_pcr_unsplit,
-    batched_staged_sweep,
     batched_thomas_sweep,
 )
 from .base import (
@@ -22,6 +17,7 @@ from .base import (
     warp_padded_threads,
     warps_for,
 )
+from .chain import SplitChain
 from .coop_pcr import CoopPcrKernel
 from .elementwise import DivideKernel, ReconstructKernel, TransposeKernel
 from .global_pcr import GlobalPcrKernel
@@ -34,15 +30,11 @@ __all__ = [
     "GlobalPcrKernel",
     "CoopPcrKernel",
     "ThomasGlobalKernel",
-    "BatchedThomasKernel",
-    "BatchedPcrKernel",
     "BatchedSweepKernel",
     "batched_thomas_sweep",
     "batched_pcr_solve",
-    "batched_pcr_split",
-    "batched_pcr_unsplit",
     "batched_pcr_thomas_sweep",
-    "batched_staged_sweep",
+    "SplitChain",
     "DivideKernel",
     "TransposeKernel",
     "ReconstructKernel",

@@ -7,42 +7,31 @@ step is a single NumPy sweep whose GPU equivalent is a fully coalesced
 pass — the layout trick of Gloster et al. (arXiv:1909.04539) and the
 batched-PDE solvers of Carroll et al. (arXiv:2107.05395).
 
-The numerics mirror :mod:`repro.algorithms.thomas`,
-:mod:`repro.algorithms.pcr`, and :mod:`repro.algorithms.pcr_thomas`
-operation-for-operation with the axes swapped. Because every update is
-elementwise across the system axis (no cross-system reductions), the
-floats produced per logical element are **bit-identical** to the
-row-major path — the property the IR fusion pass
-(:func:`repro.ir.passes.fuse_batched`) and its parity tests rely on.
+The numerics run on :class:`~repro.kernels.chain.SplitChain` over the
+``(1, n, m)`` view of the interleaved arrays — the same executor the
+row-major split stages use. Because every update is elementwise across
+the system axis (no cross-system reductions), the floats produced per
+logical element are **bit-identical** to the row-major path — the
+property the IR fusion pass (:func:`repro.ir.passes.fuse_batched`) and
+its parity tests rely on.
 
-Three launchable kernels are exposed:
-
-- :class:`BatchedThomasKernel` — thread-per-system Thomas, one sweep
-  over the interleaved axis;
-- :class:`BatchedPcrKernel` — full PCR, every step one coalesced pass;
-- :class:`BatchedSweepKernel` — the fused multi-stage pipeline (global
-  splits + hybrid smem PCR-Thomas + unsplits) behind the
-  ``BatchedSolve`` IR opcode.
+The launchable kernel is :class:`BatchedSweepKernel`, the fused
+multi-stage pipeline (global splits + hybrid smem PCR-Thomas) behind the
+``BatchedSolve`` IR opcode.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
 from ..algorithms.pcr_thomas import normalize_thomas_switch
-from ..algorithms.thomas import _pivot_floor
 from ..gpu.cost import ComputePhase, KernelCost
 from ..gpu.memory import MemoryTraffic
 from ..systems.batched import BatchedTridiagonal
-from ..util.errors import (
-    ConfigurationError,
-    ResourceExhaustedError,
-    SingularSystemError,
-)
-from ..util.validation import check_power_of_two, ilog2, require
+from ..util.errors import ConfigurationError, ResourceExhaustedError
+from ..util.validation import check_power_of_two, ilog2
 from .base import (
     GLOBAL_PCR_INSTR_PER_EQ,
     GLOBAL_PCR_VALUES_PER_EQ,
@@ -54,174 +43,38 @@ from .base import (
     warp_padded_threads,
     warps_for,
 )
+from .chain import SplitChain
 
 __all__ = [
     "batched_thomas_sweep",
-    "batched_pcr_split",
-    "batched_pcr_unsplit",
     "batched_pcr_solve",
     "batched_pcr_thomas_sweep",
-    "batched_staged_sweep",
-    "BatchedThomasKernel",
-    "BatchedPcrKernel",
     "BatchedSweepKernel",
 ]
-
-_Coeffs = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 # -- interleaved numerics ----------------------------------------------------
 #
-# Exact mirrors of the row-major algorithms with the axes swapped:
-# arrays are (n, m), sweeps run over axis 0, and every expression applies
-# the same per-element arithmetic in the same order.
+# Each returns the (n, m) solution, equal bit for bit to the row-major
+# algorithm's transposed.
 
 
 def batched_thomas_sweep(
     batched: BatchedTridiagonal, *, check: bool = True
 ) -> np.ndarray:
-    """Thomas over the interleaved axis; returns ``(n, m)`` solutions.
-
-    Mirrors :func:`repro.algorithms.thomas.thomas_solve` per element —
-    including the pivot floor and the first-offending-system report — so
-    the result equals the row-major solve's transposed bit-for-bit.
-    """
-    a, b, c, d = batched.a, batched.b, batched.c, batched.d
-    n, m = batched.layout_shape
-    dtype = batched.dtype
-
-    cp = np.empty((n, m), dtype=dtype)
-    dp = np.empty((n, m), dtype=dtype)
-    floor = _pivot_floor(dtype)
-
-    beta = b[0, :].copy()
-    if check and (np.abs(beta) <= floor).any():
-        idx = int(np.argmax(np.abs(beta) <= floor))
-        raise SingularSystemError(
-            f"zero pivot at row 0 of system {idx}", system_index=idx
-        )
-    cp[0, :] = c[0, :] / beta
-    dp[0, :] = d[0, :] / beta
-
-    for i in range(1, n):
-        beta = b[i, :] - a[i, :] * cp[i - 1, :]
-        if check and (np.abs(beta) <= floor).any():
-            idx = int(np.argmax(np.abs(beta) <= floor))
-            raise SingularSystemError(
-                f"zero pivot at row {i} of system {idx}", system_index=idx
-            )
-        cp[i, :] = c[i, :] / beta
-        dp[i, :] = (d[i, :] - a[i, :] * dp[i - 1, :]) / beta
-
-    x = np.empty((n, m), dtype=dtype)
-    x[-1, :] = dp[-1, :]
-    for i in range(n - 2, -1, -1):
-        x[i, :] = dp[i, :] - cp[i, :] * x[i + 1, :]
-    return x
-
-
-def _batched_pcr_step(
-    a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray, stride: int
-) -> _Coeffs:
-    """One PCR step on ``(n, m)`` arrays, coupling along axis 0."""
-    n = b.shape[0]
-    s = int(stride)
-    require(1 <= s, f"stride must be >= 1, got {s}")
-
-    pad = ((s, s), (0, 0))
-    ap = np.pad(a, pad, constant_values=0)
-    bp = np.pad(b, pad, constant_values=1)
-    cp = np.pad(c, pad, constant_values=0)
-    dp = np.pad(d, pad, constant_values=0)
-
-    a_lo, b_lo, c_lo, d_lo = (arr[0:n, :] for arr in (ap, bp, cp, dp))
-    a_hi, b_hi, c_hi, d_hi = (arr[2 * s :, :] for arr in (ap, bp, cp, dp))
-
-    alpha = -a / b_lo
-    gamma = -c / b_hi
-
-    new_a = alpha * a_lo
-    new_b = b + alpha * c_lo + gamma * a_hi
-    new_c = gamma * c_hi
-    new_d = d + alpha * d_lo + gamma * d_hi
-    return new_a, new_b, new_c, new_d
-
-
-def _batched_gather(arr: np.ndarray, k: int) -> np.ndarray:
-    """Interleaved analogue of :func:`repro.algorithms.pcr._gather`.
-
-    ``(n, m)`` → ``(n / 2^k, m * 2^k)``; subsystem ``j`` of system ``s``
-    lands in column ``s * 2^k + j`` — the same logical subsystem order
-    as the row-major gather, so solutions stay comparable element for
-    element. Pure data movement (a tiled transpose), no arithmetic.
-    """
-    n, m = arr.shape
-    groups = 1 << k
-    sub = n >> k
-    return np.ascontiguousarray(
-        arr.reshape(sub, groups, m).transpose(0, 2, 1)
-    ).reshape(sub, m * groups)
-
-
-def _batched_scatter(arr: np.ndarray, k: int) -> np.ndarray:
-    """Inverse of :func:`_batched_gather` for ``(sub, m * 2^k)`` arrays."""
-    groups = 1 << k
-    sub, mg = arr.shape
-    m = mg // groups
-    return np.ascontiguousarray(
-        arr.reshape(sub, m, groups).transpose(0, 2, 1)
-    ).reshape(sub * groups, m)
-
-
-def batched_pcr_split(
-    batched: BatchedTridiagonal, steps: int
-) -> BatchedTridiagonal:
-    """Split every system into ``2**steps`` interleaved subsystems.
-
-    Mirrors :func:`repro.algorithms.pcr.pcr_split`: ``steps`` PCR steps
-    along the equation axis, then the gather that makes each subsystem
-    a contiguous run of rows. Result shape ``(n / 2^steps, m * 2^steps)``.
-    """
-    require(steps >= 0, f"steps must be >= 0, got {steps}")
-    if steps == 0:
-        return batched
-    n = batched.system_size
-    groups = 1 << steps
-    if n % groups != 0:
-        raise ConfigurationError(
-            f"system size {n} not divisible by 2**steps = {groups}"
-        )
-    a, b, c, d = batched.a, batched.b, batched.c, batched.d
-    stride = 1
-    for _ in range(steps):
-        a, b, c, d = _batched_pcr_step(a, b, c, d, stride)
-        stride *= 2
-    return BatchedTridiagonal(
-        _batched_gather(a, steps),
-        _batched_gather(b, steps),
-        _batched_gather(c, steps),
-        _batched_gather(d, steps),
-    )
-
-
-def batched_pcr_unsplit(x: np.ndarray, steps: int) -> np.ndarray:
-    """Map a split sweep's ``(sub, m·2^k)`` solution back to ``(n, m)``."""
-    require(steps >= 0, f"steps must be >= 0, got {steps}")
-    if steps == 0:
-        return x
-    return _batched_scatter(x, steps)
+    """Thomas over the interleaved axis, like
+    :func:`repro.algorithms.thomas.thomas_solve` — including the pivot
+    floor and the first-offending-system report."""
+    return SplitChain.of(batched).thomas(check=check)
 
 
 def batched_pcr_solve(batched: BatchedTridiagonal) -> np.ndarray:
     """Pure PCR over the interleaved axis: reduce to size-1 systems."""
     n = batched.system_size
     check_power_of_two(n, "system_size")
-    a, b, c, d = batched.a, batched.b, batched.c, batched.d
-    stride = 1
-    for _ in range(ilog2(n)):
-        a, b, c, d = _batched_pcr_step(a, b, c, d, stride)
-        stride *= 2
-    return d / b
+    chain = SplitChain.of(batched)
+    chain.split(ilog2(n))
+    return chain.solve(1)
 
 
 def batched_pcr_thomas_sweep(
@@ -230,42 +83,9 @@ def batched_pcr_thomas_sweep(
     *,
     check: bool = True,
 ) -> np.ndarray:
-    """Hybrid PCR-Thomas over the interleaved axis; ``(n, m)`` result.
-
-    Mirrors :func:`repro.algorithms.pcr_thomas.pcr_thomas_solve`.
-    """
-    n = batched.system_size
-    if n == 1:
-        return batched.d / batched.b
-    switch = normalize_thomas_switch(n, thomas_switch)
-    steps = ilog2(switch)
-    split = batched_pcr_split(batched, steps)
-    x_split = batched_thomas_sweep(split, check=check)
-    return batched_pcr_unsplit(x_split, steps)
-
-
-def batched_staged_sweep(
-    batched: BatchedTridiagonal,
-    stage1_steps: int,
-    stage2_steps: int,
-    thomas_switch: int,
-    *,
-    check: bool = True,
-) -> np.ndarray:
-    """The full multi-stage pipeline as interleaved sweeps.
-
-    Replays the unfused instruction chain — ``SplitCoop(k1)`` →
-    ``SplitBlock(k2)`` → ``OnChipSolve`` → ``Unsplit(k2)`` →
-    ``Unsplit(k1)`` — stage by stage in the interleaved layout (the two
-    split stages stay separate passes because nested splits order
-    subsystems differently from a single combined split). Returns the
-    ``(n, m)`` solution, bit-identical to the row-major chain transposed.
-    """
-    work = batched_pcr_split(batched, stage1_steps)
-    work = batched_pcr_split(work, stage2_steps)
-    x = batched_pcr_thomas_sweep(work, thomas_switch, check=check)
-    x = batched_pcr_unsplit(x, stage2_steps)
-    return batched_pcr_unsplit(x, stage1_steps)
+    """Hybrid PCR-Thomas over the interleaved axis, like
+    :func:`repro.algorithms.pcr_thomas.pcr_thomas_solve`."""
+    return SplitChain.of(batched).solve(thomas_switch, check=check)
 
 
 # -- launchable kernels ------------------------------------------------------
@@ -279,125 +99,6 @@ def _interleaved_traffic(
     traffic = MemoryTraffic()
     traffic.add(ctx.spec, nbytes, stride=1)
     return traffic
-
-
-@dataclass(frozen=True)
-class BatchedThomasKernel:
-    """Thread-per-system Thomas over the interleaved axis.
-
-    The SoA twin of
-    :class:`~repro.kernels.thomas_global.ThomasGlobalKernel` with
-    ``layout="interleaved"``, operating directly on a
-    :class:`BatchedTridiagonal` and enjoying the device's interleaved
-    coalescing gain (whole warps advance adjacent systems in lockstep).
-    """
-
-    threads_per_block: int = 128
-    regs_per_thread: int = 20
-
-    # Values moved per row, as in thomas_global: read a, b, c, d, write
-    # the two sweep coefficients, read them back, write x.
-    _VALUES_PER_ROW = 9
-
-    def cost(
-        self,
-        ctx: KernelContext,
-        num_systems: int,
-        system_size: int,
-        dsize: int,
-    ) -> KernelCost:
-        """Price one batched-Thomas launch."""
-        spec = ctx.spec
-        threads = min(self.threads_per_block, spec.max_threads_per_block)
-        grid = max(1, -(-num_systems // threads))
-        warp_instr = (
-            2 * system_size * warps_for(num_systems) * THOMAS_INSTR_PER_ROW
-        )
-        nbytes = float(num_systems) * system_size * self._VALUES_PER_ROW * dsize
-        return KernelCost(
-            name="batched_thomas",
-            grid_blocks=min(grid, spec.max_grid_blocks),
-            threads_per_block=threads,
-            regs_per_thread=self.regs_per_thread,
-            phases=[
-                ComputePhase(
-                    warp_instr,
-                    active_threads_per_block=min(num_systems, threads),
-                )
-            ],
-            traffic=_interleaved_traffic(ctx, nbytes),
-            coalescing=spec.interleaved_coalescing_gain,
-        )
-
-    def run(
-        self,
-        ctx: KernelContext,
-        batched: BatchedTridiagonal,
-        *,
-        check: bool = True,
-        stage: str = "batched_thomas",
-    ) -> np.ndarray:
-        """Solve the interleaved batch; returns ``(n, m)`` solutions."""
-        cost = self.cost(
-            ctx,
-            batched.num_systems,
-            batched.system_size,
-            dtype_size(batched.dtype),
-        )
-        ctx.session.submit(cost, stage=stage)
-        return batched_thomas_sweep(batched, check=check)
-
-
-@dataclass(frozen=True)
-class BatchedPcrKernel:
-    """Full PCR where every step is one coalesced interleaved pass."""
-
-    threads_per_block: int = 256
-    regs_per_thread: int = 24
-
-    def cost(
-        self,
-        ctx: KernelContext,
-        num_systems: int,
-        system_size: int,
-        dsize: int,
-    ) -> KernelCost:
-        """Price the ``log2(n)`` coalesced reduction passes."""
-        spec = ctx.spec
-        check_power_of_two(system_size, "system_size")
-        steps = max(1, ilog2(system_size))
-        total_eqs = num_systems * system_size
-        threads = min(self.threads_per_block, spec.max_threads_per_block)
-        grid = max(1, -(-total_eqs // threads))
-        warp_instr = steps * warps_for(total_eqs) * GLOBAL_PCR_INSTR_PER_EQ
-        nbytes = float(total_eqs) * GLOBAL_PCR_VALUES_PER_EQ * dsize * steps
-        return KernelCost(
-            name=f"batched_pcr[steps={steps}]",
-            grid_blocks=min(grid, spec.max_grid_blocks),
-            threads_per_block=threads,
-            regs_per_thread=self.regs_per_thread,
-            phases=[ComputePhase(warp_instr)],
-            traffic=_interleaved_traffic(ctx, nbytes),
-            launches=steps,
-            coalescing=spec.interleaved_coalescing_gain,
-        )
-
-    def run(
-        self,
-        ctx: KernelContext,
-        batched: BatchedTridiagonal,
-        *,
-        stage: str = "batched_pcr",
-    ) -> np.ndarray:
-        """Reduce the interleaved batch to size-1 systems and divide."""
-        cost = self.cost(
-            ctx,
-            batched.num_systems,
-            batched.system_size,
-            dtype_size(batched.dtype),
-        )
-        ctx.session.submit(cost, stage=stage)
-        return batched_pcr_solve(batched)
 
 
 @dataclass(frozen=True)
@@ -524,10 +225,7 @@ class BatchedSweepKernel:
             dtype_size(batched.dtype),
         )
         ctx.session.submit(cost, stage=stage)
-        return batched_staged_sweep(
-            batched,
-            self.stage1_steps,
-            self.stage2_steps,
-            self.thomas_switch,
-            check=check,
-        )
+        chain = SplitChain.of(batched)
+        chain.split(self.stage1_steps)
+        chain.split(self.stage2_steps)
+        return chain.solve(self.thomas_switch, check=check)

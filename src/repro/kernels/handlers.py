@@ -8,12 +8,14 @@ kernel's price and its execution can never drift apart:
   submission order. The engine folds them into step durations (price
   mode) or hands them to a session (solve pricing).
 - :func:`execute_step` — the data-carrying view: run the kernel's
-  numerics on an :class:`ExecState`, submitting the *same* cost records
-  through the kernel's own ``run`` path.
+  numerics on an :class:`ExecState`, submitting the *same* cost records,
+  built for the logical shape of the data it carries.
 
-Marker opcodes (``Pad``/``Unpad``/``Unsplit``/``Barrier``) cost nothing
-but still transform data in execute mode — padding and un-splitting are
-real host array operations.
+Marker opcodes (``Pad``/``Unpad``/``Unsplit``/``Barrier``) cost nothing.
+``Pad``/``Unpad`` still transform data in execute mode; ``Unsplit`` does
+nothing on the host, because the split stages run in place in the
+original equation order (:class:`~repro.kernels.chain.SplitChain`) and
+the solution never needs un-scattering.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from typing import List, Optional
 import numpy as np
 
 from ..algorithms.padding import pad_pow2, unpad_solution
-from ..algorithms.pcr import pcr_unsplit_solution
 from ..ir.instructions import (
     Barrier,
     BatchedSolve,
@@ -44,6 +45,7 @@ from ..systems.tridiagonal import TridiagonalBatch
 from ..util.errors import PlanError
 from .base import KernelContext
 from .batched import BatchedSweepKernel
+from .chain import SplitChain
 from .coop_pcr import CoopPcrKernel
 from .elementwise import ReconstructKernel, TransposeKernel
 from .global_pcr import GlobalPcrKernel
@@ -61,8 +63,11 @@ def price_costs(step: Step, ctx: KernelContext, dtype_size: int) -> List:
     Markers and non-kernel opcodes (``Transfer``/``Fixed``, priced by
     the engine itself) return an empty list.
     """
-    op = step.op
-    m, n = step.shape
+    return _costs(step.op, ctx, *step.shape, dtype_size)
+
+
+def _costs(op, ctx: KernelContext, m: int, n: int, dtype_size: int) -> List:
+    """The cost records of ``op`` on ``m`` logical systems of size ``n``."""
     if isinstance(op, SplitCoop):
         coop = CoopPcrKernel()
         costs = []
@@ -116,15 +121,21 @@ def price_costs(step: Step, ctx: KernelContext, dtype_size: int) -> List:
 class ExecState:
     """Mutable data threaded through a solve-program execution.
 
-    ``work`` is row-major (:class:`TridiagonalBatch`) in the classic
-    chain; between an ``Interleave("in")`` and the matching
-    ``Interleave("out")`` of a fused program it is the interleaved
-    :class:`BatchedTridiagonal` and ``x`` is ``(n, m)``.
+    ``work`` is the padded coefficient batch, row-major
+    (:class:`TridiagonalBatch`) in the staged chain; between an
+    ``Interleave("in")`` and the matching ``Interleave("out")`` of a
+    fused program it is the interleaved :class:`BatchedTridiagonal` and
+    ``x`` is ``(n, m)``. The split stages never replace or write
+    ``work``: ``SplitCoop``/``SplitBlock``/``OnChipSolve`` run on
+    ``chain``, a :class:`SplitChain` over ``work`` that keeps every
+    subsystem in the original equation order and owns the step buffers.
+    The on-chip solve's ``x`` is therefore already in the original order.
     """
 
-    work: TridiagonalBatch  # the (progressively split) coefficient batch
+    work: TridiagonalBatch  # the padded coefficient batch
     x: Optional[np.ndarray] = None  # solution, once the on-chip solve ran
     original_n: int = 0  # pre-padding system size, for Unpad
+    chain: Optional[SplitChain] = None  # the split stages run so far
 
     @classmethod
     def for_batch(cls, batch: TridiagonalBatch) -> "ExecState":
@@ -145,25 +156,19 @@ def execute_step(step: Step, ctx: KernelContext, state: ExecState) -> None:
         state.work = padded
         state.original_n = original_n
         return
-    if isinstance(op, SplitCoop):
-        state.work = CoopPcrKernel().run(
-            ctx, state.work, op.steps, stage=step.stage
-        )
-        return
-    if isinstance(op, SplitBlock):
-        state.work = GlobalPcrKernel().run(
-            ctx,
-            state.work,
-            state.work.system_size >> op.steps,
-            start_stride=op.start_stride,
-            stage=step.stage,
-        )
-        return
-    if isinstance(op, OnChipSolve):
-        kernel = PcrThomasSmemKernel(
-            thomas_switch=op.thomas_switch, variant=op.variant
-        )
-        state.x = kernel.run(ctx, state.work, stride=op.stride, stage=step.stage)
+    if isinstance(op, (SplitCoop, SplitBlock, OnChipSolve)):
+        if state.chain is None:
+            state.chain = SplitChain.of(state.work)
+        chain = state.chain
+        # Priced on the logical (m·G, n/G) subsystems, as the gathered
+        # kernels price themselves; a split is checked before it prices.
+        m, n = chain.shape
+        if not isinstance(op, OnChipSolve):
+            chain.split(op.steps)
+        for cost in _costs(op, ctx, m, n, chain.dtype.itemsize):
+            ctx.session.submit(cost, stage=step.stage)
+        if isinstance(op, OnChipSolve):
+            state.x = chain.solve(op.thomas_switch)
         return
     if isinstance(op, Interleave):
         m, n = step.shape
@@ -189,13 +194,10 @@ def execute_step(step: Step, ctx: KernelContext, state: ExecState) -> None:
         )
         state.x = kernel.run(ctx, state.work, stage=step.stage)
         return
-    if isinstance(op, Unsplit):
-        state.x = pcr_unsplit_solution(state.x, op.steps)
-        return
     if isinstance(op, Unpad):
         state.x = unpad_solution(state.x, state.original_n)
         return
-    if isinstance(op, Barrier):
+    if isinstance(op, (Unsplit, Barrier)):
         return
     raise PlanError(
         f"opcode {type(op).__name__} is not executable on a single device"
