@@ -50,16 +50,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Pad:
-    """Pad every system to the plan's power-of-two size (host-side view
-    change; free). In execute mode this is also where the batch/plan
-    size-compatibility check lives."""
+    """Pad every system to the plan's power-of-two size (free). In
+    execute mode this loads the host's systems-innermost ``(n, m)``
+    layout (a view for one power-of-two system) and checks the size."""
 
     padded_size: int
 
 
 @dataclass(frozen=True)
 class Unpad:
-    """Crop the solution back to the raw system size (free)."""
+    """Crop the solution back to the raw system size (free); in execute
+    mode, unload the row-major ``(m, n)`` answer from the host layout."""
 
 
 @dataclass(frozen=True)
@@ -108,7 +109,7 @@ class Interleave:
     arrays); ``direction="out"`` transposes the solution back (one
     array). A real tiled-transpose pass on the device, so it is costed,
     not a marker — fusion only wins when the sweeps it enables buy back
-    this toll.
+    this toll. The host moves no data: ``Pad`` loaded this layout.
     """
 
     direction: str = "in"
@@ -176,7 +177,7 @@ class Fixed:
 
 
 # Opcodes that are bookkeeping only: never priced, never drawn on a
-# timeline (padding still runs as a host array operation, but costs
+# timeline (Pad/Unpad still load and unload the host layout, but cost
 # nothing in the machine model).
 MARKER_OPS = (Pad, Unpad, Unsplit, Barrier)
 

@@ -8,12 +8,13 @@ pass — the layout trick of Gloster et al. (arXiv:1909.04539) and the
 batched-PDE solvers of Carroll et al. (arXiv:2107.05395).
 
 The numerics run on :class:`~repro.kernels.chain.SplitChain` over the
-``(1, n, m)`` view of the interleaved arrays — the same executor the
-row-major split stages use. Because every update is elementwise across
-the system axis (no cross-system reductions), the floats produced per
-logical element are **bit-identical** to the row-major path — the
-property the IR fusion pass (:func:`repro.ir.passes.fuse_batched`) and
-its parity tests rely on.
+interleaved ``(n, m)`` arrays — the one host layout of every
+single-device solve, which the engine's ``Pad`` loads. Because every
+update is elementwise across the system axis (no cross-system
+reductions), the floats produced per logical element are
+**bit-identical** to the row-major algorithms — the property the IR
+fusion pass (:func:`repro.ir.passes.fuse_batched`) and its parity tests
+rely on.
 
 The launchable kernel is :class:`BatchedSweepKernel`, the fused
 multi-stage pipeline (global splits + hybrid smem PCR-Thomas) behind the
@@ -216,8 +217,10 @@ class BatchedSweepKernel:
         *,
         check: bool = True,
         stage: str = "fused_sweep",
+        owned: bool = False,
     ) -> np.ndarray:
-        """Run the fused sweep; returns the interleaved ``(n, m)`` solution."""
+        """Run the fused sweep; returns the interleaved ``(n, m)`` solution.
+        ``owned`` is as in :meth:`SplitChain.of`."""
         cost = self.cost(
             ctx,
             batched.num_systems,
@@ -225,7 +228,7 @@ class BatchedSweepKernel:
             dtype_size(batched.dtype),
         )
         ctx.session.submit(cost, stage=stage)
-        chain = SplitChain.of(batched)
+        chain = SplitChain.of(batched, owned=owned)
         chain.split(self.stage1_steps)
         chain.split(self.stage2_steps)
         return chain.solve(self.thomas_switch, check=check)

@@ -12,20 +12,22 @@ kernel's price and its execution can never drift apart:
   built for the logical shape of the data it carries.
 
 Marker opcodes (``Pad``/``Unpad``/``Unsplit``/``Barrier``) cost nothing.
-``Pad``/``Unpad`` still transform data in execute mode; ``Unsplit`` does
-nothing on the host, because the split stages run in place in the
-original equation order (:class:`~repro.kernels.chain.SplitChain`) and
-the solution never needs un-scattering.
+Execute mode keeps one host layout, the systems-innermost ``(n, m)``
+:class:`~repro.systems.batched.BatchedTridiagonal`: ``Pad`` loads the
+batch into it once and ``Unpad`` unloads the row-major solution once.
+Every solve opcode runs :class:`~repro.kernels.chain.SplitChain` on that
+view in the original equation order, so ``Unsplit`` has nothing to
+un-scatter and ``Interleave`` submits its priced transpose but moves no
+data: fused and unfused programs run the same host numerics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..algorithms.padding import pad_pow2, unpad_solution
 from ..ir.instructions import (
     Barrier,
     BatchedSolve,
@@ -43,6 +45,7 @@ from ..ir.instructions import (
 from ..systems.batched import BatchedTridiagonal
 from ..systems.tridiagonal import TridiagonalBatch
 from ..util.errors import PlanError
+from ..util.validation import next_power_of_two
 from .base import KernelContext
 from .batched import BatchedSweepKernel
 from .chain import SplitChain
@@ -121,21 +124,21 @@ def _costs(op, ctx: KernelContext, m: int, n: int, dtype_size: int) -> List:
 class ExecState:
     """Mutable data threaded through a solve-program execution.
 
-    ``work`` is the padded coefficient batch, row-major
-    (:class:`TridiagonalBatch`) in the staged chain; between an
-    ``Interleave("in")`` and the matching ``Interleave("out")`` of a
-    fused program it is the interleaved :class:`BatchedTridiagonal` and
-    ``x`` is ``(n, m)``. The split stages never replace or write
-    ``work``: ``SplitCoop``/``SplitBlock``/``OnChipSolve`` run on
-    ``chain``, a :class:`SplitChain` over ``work`` that keeps every
-    subsystem in the original equation order and owns the step buffers.
-    The on-chip solve's ``x`` is therefore already in the original order.
+    ``Pad`` replaces the caller's row-major ``work`` with the padded
+    systems-innermost :class:`BatchedTridiagonal` ``(n_pad, m)``, and
+    every solve opcode runs ``chain``, a :class:`SplitChain` over it
+    that owns the step buffers. ``x`` is the ``(n_pad, m)`` solution
+    until ``Unpad`` unloads the row-major ``(m, n)`` answer. For one
+    power-of-two system both are views of the caller's arrays, which
+    nothing writes; otherwise ``work`` is ``owned``, and the chain
+    recycles it as its spare buffer set.
     """
 
-    work: TridiagonalBatch  # the padded coefficient batch
+    work: Union[TridiagonalBatch, BatchedTridiagonal]
     x: Optional[np.ndarray] = None  # solution, once the on-chip solve ran
     original_n: int = 0  # pre-padding system size, for Unpad
-    chain: Optional[SplitChain] = None  # the split stages run so far
+    owned: bool = False  # whether work is Pad's private copy
+    chain: Optional[SplitChain] = None  # the split stages, until the solve
 
     @classmethod
     def for_batch(cls, batch: TridiagonalBatch) -> "ExecState":
@@ -143,22 +146,33 @@ class ExecState:
         return cls(work=batch, original_n=batch.system_size)
 
 
+def _load(batch: TridiagonalBatch, size: int) -> Tuple[BatchedTridiagonal, bool]:
+    """``pad_pow2(batch)`` as ``(size, m)`` arrays, and whether it copied."""
+    m, n = batch.shape
+    if m == 1 and n == size:
+        return BatchedTridiagonal.interleave(batch), False
+    loaded = [np.empty((size, m), dtype=batch.dtype) for _ in range(4)]
+    for out, arr, fill in zip(loaded, (batch.a, batch.b, batch.c, batch.d), (0, 1, 0, 0)):
+        out[:n], out[n:] = arr.T, fill
+    return BatchedTridiagonal(*loaded), True
+
+
 def execute_step(step: Step, ctx: KernelContext, state: ExecState) -> None:
     """Run one step's numerics (and cost submissions) on ``state``."""
     op = step.op
     if isinstance(op, Pad):
-        padded, original_n = pad_pow2(state.work)
-        if padded.system_size != op.padded_size:
+        n = state.work.system_size
+        if next_power_of_two(n) != op.padded_size:
             raise PlanError(
                 f"plan was built for padded size {op.padded_size}, batch "
-                f"pads to {padded.system_size}"
+                f"pads to {next_power_of_two(n)}"
             )
-        state.work = padded
-        state.original_n = original_n
+        state.work, state.owned = _load(state.work, op.padded_size)
+        state.original_n = n
         return
     if isinstance(op, (SplitCoop, SplitBlock, OnChipSolve)):
         if state.chain is None:
-            state.chain = SplitChain.of(state.work)
+            state.chain = SplitChain.of(state.work, owned=state.owned)
         chain = state.chain
         # Priced on the logical (m·G, n/G) subsystems, as the gathered
         # kernels price themselves; a split is checked before it prices.
@@ -168,23 +182,13 @@ def execute_step(step: Step, ctx: KernelContext, state: ExecState) -> None:
         for cost in _costs(op, ctx, m, n, chain.dtype.itemsize):
             ctx.session.submit(cost, stage=step.stage)
         if isinstance(op, OnChipSolve):
-            state.x = chain.solve(op.thomas_switch)
+            # Free the step buffers before Unpad copies the answer out.
+            state.x, state.chain = chain.solve(op.thomas_switch), None
         return
     if isinstance(op, Interleave):
-        m, n = step.shape
-        if op.direction == "in":
-            cost = TransposeKernel().cost(
-                ctx, m * n, state.work.dtype.itemsize, arrays=4, tiled=True
-            )
+        # Priced only: Pad already loaded the interleaved layout.
+        for cost in _costs(op, ctx, *step.shape, state.work.dtype.itemsize):
             ctx.session.submit(cost, stage=step.stage)
-            state.work = BatchedTridiagonal.interleave(state.work)
-        else:
-            cost = TransposeKernel().cost(
-                ctx, m * n, state.x.dtype.itemsize, arrays=1, tiled=True
-            )
-            ctx.session.submit(cost, stage=step.stage)
-            # The fused sweep left x interleaved (n, m); restore (m, n).
-            state.x = np.ascontiguousarray(state.x.T)
         return
     if isinstance(op, BatchedSolve):
         kernel = BatchedSweepKernel(
@@ -192,10 +196,12 @@ def execute_step(step: Step, ctx: KernelContext, state: ExecState) -> None:
             stage2_steps=op.stage2_steps,
             thomas_switch=op.thomas_switch,
         )
-        state.x = kernel.run(ctx, state.work, stage=step.stage)
+        state.x = kernel.run(
+            ctx, state.work, owned=state.owned, stage=step.stage
+        )
         return
     if isinstance(op, Unpad):
-        state.x = unpad_solution(state.x, state.original_n)
+        state.x = np.ascontiguousarray(state.x[: state.original_n].T)
         return
     if isinstance(op, (Unsplit, Barrier)):
         return

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from repro.systems import generators
@@ -32,6 +35,21 @@ def pow2_batch():
 def odd_batch():
     """Systems whose size is not a power of two (forces padding paths)."""
     return generators.random_dominant(5, 100, rng=13)
+
+
+# ---------------------------------------------------------------------------
+# Hypothesis profiles: the fast tier runs "default"; the nightly CI job
+# sets HYPOTHESIS_PROFILE=nightly for ten times the examples.
+# ---------------------------------------------------------------------------
+
+_DEFAULT_EXAMPLES = settings.get_profile("default").max_examples
+settings.register_profile("nightly", max_examples=10 * _DEFAULT_EXAMPLES)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+
+
+def examples(fast: int) -> int:
+    """``fast`` examples, scaled like the active profile's max_examples."""
+    return fast * settings.default.max_examples // _DEFAULT_EXAMPLES
 
 
 # ---------------------------------------------------------------------------

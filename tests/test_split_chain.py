@@ -8,6 +8,10 @@ compared as integers, so a flipped sign of zero counts — singular input
 must fail with the same error, and execution must price exactly what the
 data-free price mode prices. A NaN in the result of singular input is
 compared as a NaN: IEEE 754 leaves its sign and payload open.
+
+The host keeps one layout: ``Pad`` loads the systems-innermost
+``(n_pad, m)`` view, ``Interleave`` moves no data, and ``Unpad`` unloads
+the row-major answer; the layout-contract tests pin each of those.
 """
 
 import tracemalloc
@@ -17,15 +21,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.algorithms.padding import pad_pow2
 from repro.core.planner import SolvePlan
 from repro.gpu import make_device
-from repro.ir import Engine, SplitCoop, Step, lower_solve_plan
-from repro.kernels import KernelContext, dtype_size
+from repro.ir import (
+    Engine,
+    Interleave,
+    Pad,
+    SplitCoop,
+    Step,
+    Unpad,
+    lower_solve_plan,
+)
+from repro.kernels import KernelContext, SplitChain, dtype_size
 from repro.kernels.handlers import ExecState, execute_step
 from repro.systems import generators
+from repro.systems.batched import BatchedTridiagonal
 from repro.systems.tridiagonal import TridiagonalBatch
-from repro.util.errors import SingularSystemError
+from repro.util.errors import ShapeError, SingularSystemError
 from repro.util.validation import ilog2, next_power_of_two
+from tests.conftest import examples
 from tests.test_ir import _reference_solve
 
 DEVICE = make_device("gtx470")
@@ -100,7 +115,7 @@ def _cases(draw):
 
 
 class TestAgainstGatheredReference:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     @given(case=_cases(), seed=st.integers(min_value=0, max_value=2**16))
     def test_execute_is_bit_identical_and_prices_like_price_mode(self, case, seed):
         batch = generators.random_dominant(
@@ -146,7 +161,7 @@ class TestAgainstGatheredReference:
         assert expected[0] == "singular"
         assert got == expected
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=examples(40), deadline=None)
     @given(case=_cases(), seed=st.integers(min_value=0, max_value=2**16), data=st.data())
     def test_zero_rows_fail_or_solve_like_the_reference(self, case, seed, data):
         m, n = case["m"], case["n"]
@@ -165,18 +180,85 @@ class TestAgainstGatheredReference:
         assert got == expected
 
 
+def _coeffs(batch):
+    return (batch.a, batch.b, batch.c, batch.d)
+
+
+def _run(state, *ops):
+    """Execute ``ops`` on ``state``, each at the batch's logical shape."""
+    ctx = KernelContext(DEVICE.session())
+    for op in ops:
+        execute_step(Step(op=op, shape=state.work.shape), ctx, state)
+
+
+class TestLayoutContract:
+    @pytest.mark.parametrize("m,n", [(1, 256), (1, 100), (5, 256), (5, 100)])
+    def test_pad_loads_the_padded_batch_systems_innermost(self, m, n):
+        batch = generators.random_dominant(m, n, rng=3)
+        state = ExecState.for_batch(batch)
+        _run(state, Pad(next_power_of_two(n)))
+        expected = BatchedTridiagonal.interleave(pad_pow2(batch)[0])
+        assert isinstance(state.work, BatchedTridiagonal)
+        for got, want in zip(_coeffs(state.work), _coeffs(expected)):
+            assert got.flags.c_contiguous
+            np.testing.assert_array_equal(_bits(got), _bits(want))
+        # Only a copy is the state's to recycle.
+        assert state.owned == (m > 1 or n != next_power_of_two(n))
+
+    @pytest.mark.parametrize("fuse", [False, True])
+    def test_one_system_loads_as_a_view_and_is_never_written(self, fuse):
+        batch = generators.random_dominant(1, 4096, rng=4)
+        state = ExecState.for_batch(batch)
+        _run(state, Pad(4096))
+        for loaded, caller in zip(_coeffs(state.work), _coeffs(batch)):
+            assert np.shares_memory(loaded, caller)
+        inputs = [arr.copy() for arr in _coeffs(batch)]
+        program = lower_solve_plan(_plan(1, 4096, 2, 3, 8), DEVICE, 8, fuse=fuse)
+        run = Engine.for_device(DEVICE).execute(program, batch)
+        assert run.x.shape == (1, 4096)
+        for before, after in zip(inputs, _coeffs(batch)):
+            np.testing.assert_array_equal(_bits(after), _bits(before))
+
+    def test_interleave_moves_no_data(self):
+        batch = generators.random_dominant(4, 64, rng=5)
+        state = ExecState.for_batch(batch)
+        _run(state, Pad(64))
+        state.x = np.zeros((64, 4))
+        work, x = state.work, state.x
+        _run(state, Interleave("in"), Interleave("out"))
+        assert state.work is work and state.x is x
+
+    @pytest.mark.parametrize("m,n", [(1, 256), (1, 100), (6, 256), (6, 100)])
+    def test_unpad_unloads_a_row_major_answer(self, m, n):
+        batch = generators.random_dominant(m, n, rng=6)
+        state = ExecState.for_batch(batch)
+        padded = next_power_of_two(n)
+        _run(state, Pad(padded))
+        solution = np.arange(padded * m, dtype=np.float64).reshape(padded, m)
+        state.x = solution
+        _run(state, Unpad())
+        assert state.x.shape == (m, n)
+        assert state.x.flags.c_contiguous
+        np.testing.assert_array_equal(state.x, solution[:n].T)
+
+    def test_split_chain_rejects_the_row_major_container(self):
+        batch = generators.random_dominant(3, 64, rng=7)
+        with pytest.raises(ShapeError, match="BatchedTridiagonal"):
+            SplitChain.of(batch)
+
+
 class TestAllocation:
     @pytest.mark.parametrize("steps", [2, 8])
-    def test_split_peak_memory_does_not_grow_with_steps(self, steps):
+    @pytest.mark.parametrize("m", [1, 8])
+    def test_split_peak_memory_does_not_grow_with_steps(self, m, steps):
         """No full-size temporaries per step: two ping-pong buffer sets
-        (twice the batch) plus cache-sized scratch, whatever the depth."""
-        batch = generators.random_dominant(1, 1 << 16, rng=0)
-        ctx = KernelContext(DEVICE.session())
+        (twice the batch) plus cache-sized scratch, whatever the depth.
+        For m > 1 one of the two sets is Pad's private copy, recycled."""
+        batch = generators.random_dominant(m, (1 << 16) // m, rng=0)
         state = ExecState.for_batch(batch)
-        step = Step(op=SplitCoop(steps), stage="stage1_coop_pcr", shape=batch.shape)
         tracemalloc.start()
         try:
-            execute_step(step, ctx, state)
+            _run(state, Pad(batch.system_size), SplitCoop(steps))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
