@@ -32,7 +32,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from ..systems.tridiagonal import TridiagonalBatch
+from ..systems.tridiagonal import SharedMatrixBatch, TridiagonalBatch
 from ..util.errors import ConfigurationError
 from .thomas import thomas_solve
 
@@ -137,31 +137,25 @@ def split_chunks(
     return chunks
 
 
-def spike_rhs(chunk: ChunkSplit) -> TridiagonalBatch:
-    """The chunk's three-RHS batch: ``(3m, q)`` = [data | left | right spike].
+def spike_rhs(chunk: ChunkSplit) -> SharedMatrixBatch:
+    """The chunk's three-RHS solve: its ``(m, q)`` matrix, once, against
+    the ``(3, m, q)`` planes [data | left spike | right spike].
 
-    Rows ``[0, m)`` carry the data right-hand side (whose solution is
-    ``y``), rows ``[m, 2m)`` the left coupling impulse (solution ``w``),
-    rows ``[2m, 3m)`` the right coupling impulse (solution ``v``). All
-    three share the chunk's decoupled matrix, so one vectorised solve
-    covers them.
+    Plane 0 carries the data right-hand side (whose solution is ``y``),
+    plane 1 the left coupling impulse (solution ``w``), plane 2 the right
+    coupling impulse (solution ``v``). All three share the chunk's
+    decoupled matrix, so the solve does the matrix's work once for all
+    three. Solved, it is the logical ``(3m, q)`` batch
+    (:meth:`~repro.systems.tridiagonal.SharedMatrixBatch.tiled`): rows
+    ``[0, m)``, ``[m, 2m)`` and ``[2m, 3m)`` of its solution are ``y``,
+    ``w`` and ``v``.
     """
     m, q = chunk.batch.shape
-    dtype = chunk.batch.dtype
-    rhs_w = np.zeros((m, q), dtype=dtype)
-    rhs_w[:, 0] = chunk.left_coupling
-    rhs_v = np.zeros((m, q), dtype=dtype)
-    rhs_v[:, -1] = chunk.right_coupling
-
-    def tile(arr: np.ndarray) -> np.ndarray:
-        return np.concatenate([arr, arr, arr])
-
-    return TridiagonalBatch(
-        tile(chunk.batch.a),
-        tile(chunk.batch.b),
-        tile(chunk.batch.c),
-        np.concatenate([chunk.batch.d, rhs_w, rhs_v]),
-    )
+    rhs = np.zeros((3, m, q), dtype=chunk.batch.dtype)
+    rhs[0] = chunk.batch.d
+    rhs[1, :, 0] = chunk.left_coupling
+    rhs[2, :, -1] = chunk.right_coupling
+    return SharedMatrixBatch(chunk.batch.a, chunk.batch.b, chunk.batch.c, rhs)
 
 
 def solve_reduced_system(
@@ -319,7 +313,7 @@ def _spike_solve(
     for chunk in chunks:
         by_size.setdefault(chunk.size, []).append(chunk)
     for group in by_size.values():
-        stacked = TridiagonalBatch.stack([spike_rhs(ch) for ch in group])
+        stacked = TridiagonalBatch.stack([spike_rhs(ch).tiled() for ch in group])
         sol = thomas_solve(stacked)
         for j, chunk in enumerate(group):
             off = j * 3 * m

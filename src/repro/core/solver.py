@@ -23,7 +23,7 @@ from ..gpu.executor import Device, SimReport, make_device
 from ..ir.engine import Engine
 from ..ir.instructions import signature_text
 from ..kernels import dtype_size
-from ..systems.tridiagonal import TridiagonalBatch
+from ..systems.tridiagonal import SharedMatrixBatch, TridiagonalBatch
 from ..util.errors import ConfigurationError
 from .config import SwitchPoints
 from .planner import SolvePlan, plan_solve
@@ -236,7 +236,10 @@ class MultiStageSolver:
         return result
 
     def execute_plan(
-        self, batch: TridiagonalBatch, plan: SolvePlan, switch: SwitchPoints
+        self,
+        batch: Union[TridiagonalBatch, SharedMatrixBatch],
+        plan: SolvePlan,
+        switch: SwitchPoints,
     ) -> SolveResult:
         """Run a prepared ``plan`` on ``batch``.
 
@@ -246,7 +249,10 @@ class MultiStageSolver:
         count. This is the entry point the batched solve service uses to
         execute one merged solve for many same-signature requests while
         keeping each request's answer bit-identical to a standalone
-        ``solve``. The padded system size must match the plan's.
+        ``solve``. The padded system size must match the plan's. A
+        :class:`SharedMatrixBatch` runs as its logical tiled batch (the
+        distributed solver's three-RHS chunk solves) with the matrix
+        work done once, and returns that batch's ``(r·m, n)`` solution.
 
         The plan lowers to an instruction program and the shared
         :class:`~repro.ir.Engine` interprets it with data — the same
@@ -274,6 +280,8 @@ class MultiStageSolver:
             run = self._engine.execute(program, batch)
 
         if self.verify:
+            if isinstance(batch, SharedMatrixBatch):
+                batch = batch.tiled()
             assert_solution(batch, run.x, context="multi-stage solve")
         return SolveResult(
             x=run.x,

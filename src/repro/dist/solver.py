@@ -170,6 +170,8 @@ class DistributedSolver:
         self._solvers: Dict[Tuple[int, int, bool], MultiStageSolver] = {}
         self._planned: Dict[Tuple, Tuple[DistPlan, DistReport]] = {}
         self._programs: Dict[Tuple[DistPlan, int], object] = {}
+        # Fault-free prices per (plan, dsize); DistReport is frozen.
+        self._reports: Dict[Tuple[DistPlan, int], DistReport] = {}
         # Lazily built numerical-safety governor (shares this solver's
         # metrics registry and tracer); owns tolerance-governed solves.
         self._governor = None
@@ -251,11 +253,23 @@ class DistributedSolver:
             return self._programs.setdefault(key, program)
 
     def _report_for(self, plan: DistPlan, dsize: int) -> DistReport:
-        """Price ``plan``'s program on the shared engine."""
+        """Price ``plan``'s program on the shared engine.
+
+        Fault-free prices are memoised per ``(plan, dsize)``. Under an
+        injector every call re-prices: clock skew and link degradation
+        can move the price between solves.
+        """
         if self.faults is not None:
             with self.faults.paused():
                 return self._engine.price(self.lower(plan, dsize)).report
-        return self._engine.price(self.lower(plan, dsize)).report
+        key = (plan, dsize)
+        with self._lock:
+            report = self._reports.get(key)
+        if report is not None:
+            return report
+        report = self._engine.price(self.lower(plan, dsize)).report
+        with self._lock:
+            return self._reports.setdefault(key, report)
 
     # -- planning & pricing ----------------------------------------------
 

@@ -52,7 +52,10 @@ __all__ = [
 class Pad:
     """Pad every system to the plan's power-of-two size (free). In
     execute mode this loads the host's systems-innermost ``(n, m)``
-    layout (a view for one power-of-two system) and checks the size."""
+    layout (a view for one power-of-two system) and checks the size; a
+    :class:`~repro.systems.tridiagonal.SharedMatrixBatch` loads its
+    matrix once and its ``r`` right-hand sides as ``(r, n, m)`` planes.
+    """
 
     padded_size: int
 
@@ -60,7 +63,9 @@ class Pad:
 @dataclass(frozen=True)
 class Unpad:
     """Crop the solution back to the raw system size (free); in execute
-    mode, unload the row-major ``(m, n)`` answer from the host layout."""
+    mode, unload the row-major ``(m, n)`` answer from the host layout,
+    ``(r·m, n)`` with plane ``k`` as rows ``[k·m, (k+1)·m)`` for ``r``
+    right-hand-side planes."""
 
 
 @dataclass(frozen=True)

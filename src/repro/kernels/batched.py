@@ -219,8 +219,9 @@ class BatchedSweepKernel:
         stage: str = "fused_sweep",
         owned: bool = False,
     ) -> np.ndarray:
-        """Run the fused sweep; returns the interleaved ``(n, m)`` solution.
-        ``owned`` is as in :meth:`SplitChain.of`."""
+        """Run the fused sweep; returns the interleaved ``(n, m)`` solution
+        (``(r, n, m)`` for ``r`` right-hand-side planes), priced for the
+        logical batch. ``owned`` is as in :meth:`SplitChain.of`."""
         cost = self.cost(
             ctx,
             batched.num_systems,

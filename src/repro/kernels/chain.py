@@ -24,6 +24,17 @@ which IEEE 754 leaves open and NumPy's loops do not fix). Singular input
 fails identically: a pivot failure is reported against the subsystem's
 index in the nested-gather order.
 
+A batch whose ``d`` holds ``r`` right-hand-side planes against one
+matrix (SPIKE's data and two spikes) is ``r·m`` logical systems. The
+chain computes each tile's ``alpha``, ``gamma`` and new ``a``, ``b``,
+``c``, and each Thomas row's pivot and ``c'``, once, then applies them
+to every plane: the same values the ``r``-fold tiled batch would
+recompute per copy, so each plane is bit-identical to its systems in the
+tiled solve, for ``10 + 4r`` instead of ``14r`` ufunc calls per PCR
+segment and ``3 + 3r`` instead of ``6r`` per forward Thomas row. Planes
+after the first run behind a guard, after the single-plane code, so a
+single-plane solve makes the same calls as if planes did not exist.
+
 A chain owns two ping-pong buffer sets for all its steps and runs each
 step tile by tile, so the per-step scratch stays in cache. It never
 writes the arrays it was built from unless told it owns them, in which
@@ -56,15 +67,20 @@ class SplitChain:
     Build it with :meth:`of`, :meth:`split` any number of times, and
     finish with :meth:`solve` (hybrid PCR-Thomas, like
     :func:`~repro.algorithms.pcr_thomas.pcr_thomas_solve`) or
-    :meth:`thomas`. Solutions come back as new ``(n, m)`` arrays.
+    :meth:`thomas`. Solutions come back as new arrays shaped like the
+    batch's ``d``: ``(n, m)``, or ``(r, n, m)`` for ``r`` planes.
     """
 
     def __init__(self, coeffs: Sequence[np.ndarray], owned: bool = False):
-        self._arrays: List[np.ndarray] = list(coeffs)  # (n, m)
+        a, b, c, d = coeffs
+        # a, b, c, then one d per right-hand-side plane; all (n, m).
+        self._arrays: List[np.ndarray] = [a, b, c, *(d if d.ndim == 3 else [d])]
+        self._rhs_shape = d.shape
         self._owned = owned  # whether _arrays are the chain's to overwrite
         self._spare: Optional[List[np.ndarray]] = None
-        self.n, self.m = coeffs[1].shape
-        self.dtype = coeffs[1].dtype
+        self.n, self.m = b.shape
+        self.planes = len(self._arrays) - 3
+        self.dtype = b.dtype
         self.groups = 1  # subsystems per system so far
         self._radices: List[int] = []  # 2**k of every split, in order
 
@@ -81,10 +97,11 @@ class SplitChain:
 
     @property
     def shape(self) -> Tuple[int, int]:
-        """Logical ``(num_systems, system_size)`` of the current subsystems."""
-        return (self.m * self.groups, self.n // self.groups)
+        """Logical ``(num_systems, system_size)`` of the current subsystems,
+        every plane's systems counted."""
+        return (self.planes * self.m * self.groups, self.n // self.groups)
 
-    def _buffers(self, count: int = 4) -> List[np.ndarray]:
+    def _buffers(self, count: int) -> List[np.ndarray]:
         return [np.empty((self.n, self.m), dtype=self.dtype) for _ in range(count)]
 
     def split(self, steps: int) -> None:
@@ -101,7 +118,7 @@ class SplitChain:
         scratch = np.empty((3, _TILE), dtype=self.dtype)
         stride = self.groups
         for _ in range(steps):
-            dst = self._spare or self._buffers()
+            dst = self._spare or self._buffers(len(self._arrays))
             _pcr_step(
                 [arr.reshape(-1) for arr in self._arrays],
                 [arr.reshape(-1) for arr in dst],
@@ -117,8 +134,11 @@ class SplitChain:
     def solve(self, thomas_switch: int, *, check: bool = True) -> np.ndarray:
         """PCR until ``thomas_switch`` subsystems, then Thomas."""
         if self.n == self.groups:
-            _, b, _, d = self._arrays
-            return d / b
+            b = self._arrays[1]
+            x = np.empty((self.planes, self.n, self.m), dtype=self.dtype)
+            for xk, d in zip(x, self._arrays[3:]):
+                np.divide(d, b, out=xk)
+            return x.reshape(self._rhs_shape)
         switch = normalize_thomas_switch(self.n // self.groups, thomas_switch)
         self.split(ilog2(switch))
         return self.thomas(check=check)
@@ -131,10 +151,12 @@ class SplitChain:
         in the gathered reference's order.
         """
         rows, width = self.n // self.groups, self.groups * self.m
-        a, b, c, d = (arr.reshape(rows, width) for arr in self._arrays)
-        scratch = self._spare or self._buffers(2)
-        cp, dp = (buf.reshape(rows, width) for buf in scratch[:2])
-        x = np.empty((rows, width), dtype=self.dtype)
+        a, b, c, *ds = (arr.reshape(rows, width) for arr in self._arrays)
+        scratch = self._spare or self._buffers(1 + self.planes)
+        cp, *dps = (buf.reshape(rows, width) for buf in scratch[: 1 + self.planes])
+        d, dp = ds[0], dps[0]
+        more = list(zip(ds[1:], dps[1:]))
+        x = np.empty((self.planes, rows, width), dtype=self.dtype)
         beta = np.empty(width, dtype=self.dtype)
         tmp = np.empty_like(beta)
         floor = _pivot_floor(self.dtype)
@@ -144,6 +166,8 @@ class SplitChain:
             self._check_pivots(beta, 0, floor)
         np.divide(c[0], beta, out=cp[0])
         np.divide(d[0], beta, out=dp[0])
+        for dk, dpk in more:
+            np.divide(dk[0], beta, out=dpk[0])
         for i in range(1, rows):
             np.multiply(a[i], cp[i - 1], out=tmp)
             np.subtract(b[i], tmp, out=beta)
@@ -153,12 +177,18 @@ class SplitChain:
             np.multiply(a[i], dp[i - 1], out=tmp)
             np.subtract(d[i], tmp, out=tmp)
             np.divide(tmp, beta, out=dp[i])
+            if more:  # skips building the loop for the single-plane case
+                for dk, dpk in more:
+                    np.multiply(a[i], dpk[i - 1], out=tmp)
+                    np.subtract(dk[i], tmp, out=tmp)
+                    np.divide(tmp, beta, out=dpk[i])
 
-        x[-1] = dp[-1]
-        for i in range(rows - 2, -1, -1):
-            np.multiply(cp[i], x[i + 1], out=tmp)
-            np.subtract(dp[i], tmp, out=x[i])
-        return x.reshape(self.n, self.m)
+        for xk, dp in zip(x, dps):
+            xk[-1] = dp[-1]
+            for i in range(rows - 2, -1, -1):
+                np.multiply(cp[i], xk[i + 1], out=tmp)
+                np.subtract(dp[i], tmp, out=xk[i])
+        return x.reshape(self._rhs_shape)
 
     def _check_pivots(self, beta: np.ndarray, row: int, floor: float) -> None:
         bad = np.abs(beta) <= floor
@@ -166,7 +196,8 @@ class SplitChain:
             return
         # Column w of the sweep is residue r = w // m of system w % m;
         # the gathered order numbers r's split digits most significant
-        # first, so reverse them.
+        # first, so reverse them. The pivots are plane 0's, whose
+        # systems come first in the tiled batch's order.
         r, s = np.divmod(np.nonzero(bad)[0], self.m)
         sub = np.zeros_like(r)
         for radix in self._radices:
@@ -179,8 +210,9 @@ class SplitChain:
 
 
 def _pcr_step(src, dst, off, scratch) -> None:
-    """One PCR step from ``src`` into ``dst``, four flat arrays each,
-    coupling positions ``off`` apart.
+    """One PCR step from ``src`` into ``dst``, flat ``a, b, c`` and one
+    ``d`` per right-hand-side plane each, coupling positions ``off``
+    apart.
 
     Per element this is exactly :func:`repro.algorithms.pcr.pcr_step`:
     the first and last ``off`` positions read the identity equation
@@ -189,6 +221,7 @@ def _pcr_step(src, dst, off, scratch) -> None:
     """
     length = src[1].size
     identity = tuple(scratch.dtype.type(v) for v in (0, 1, 0, 0))
+    src, dst, more_src, more_dst = src[:4], dst[:4], src[4:], dst[4:]
     for lo in range(0, length, _TILE):
         hi = min(lo + _TILE, length)
         edges = {e for e in (off, length - off) if lo < e < hi}
@@ -209,6 +242,8 @@ def _pcr_step(src, dst, off, scratch) -> None:
                 [arr[x0:x1] for arr in dst],
                 scratch,
             )
+            if more_src:
+                _update_planes(more_src, more_dst, x0, x1, off, scratch)
 
 
 def _update(cur, below, above, out, scratch) -> None:
@@ -232,3 +267,20 @@ def _update(cur, below, above, out, scratch) -> None:
     np.add(d, tmp, out=out[3])
     np.multiply(gamma, d_hi, out=tmp)
     np.add(out[3], tmp, out=out[3])
+
+
+def _update_planes(src, dst, x0, x1, off, scratch) -> None:
+    """The ``d`` update of :func:`_update` on positions ``[x0, x1)`` of
+    every further plane, with the tile's ``alpha`` and ``gamma`` that
+    :func:`_update` left in ``scratch``."""
+    length = src[0].size
+    zero = scratch.dtype.type(0)
+    alpha, gamma, tmp = (buf[: x1 - x0] for buf in scratch)
+    for arr, out in zip(src, dst):
+        d_lo = zero if x0 < off else arr[x0 - off : x1 - off]
+        d_hi = zero if x1 > length - off else arr[x0 + off : x1 + off]
+        out = out[x0:x1]
+        np.multiply(alpha, d_lo, out=tmp)
+        np.add(arr[x0:x1], tmp, out=out)
+        np.multiply(gamma, d_hi, out=tmp)
+        np.add(out, tmp, out=out)

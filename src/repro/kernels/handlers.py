@@ -18,7 +18,10 @@ batch into it once and ``Unpad`` unloads the row-major solution once.
 Every solve opcode runs :class:`~repro.kernels.chain.SplitChain` on that
 view in the original equation order, so ``Unsplit`` has nothing to
 un-scatter and ``Interleave`` submits its priced transpose but moves no
-data: fused and unfused programs run the same host numerics.
+data: fused and unfused programs run the same host numerics. A
+:class:`~repro.systems.tridiagonal.SharedMatrixBatch` loads its matrix
+once and its ``r`` right-hand sides as ``(r, n, m)`` planes, and is
+priced as the logical ``r·m``-system batch it stands for.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from ..ir.instructions import (
     Unsplit,
 )
 from ..systems.batched import BatchedTridiagonal
-from ..systems.tridiagonal import TridiagonalBatch
+from ..systems.tridiagonal import SharedMatrixBatch, TridiagonalBatch
 from ..util.errors import PlanError
 from ..util.validation import next_power_of_two
 from .base import KernelContext
@@ -131,29 +134,37 @@ class ExecState:
     until ``Unpad`` unloads the row-major ``(m, n)`` answer. For one
     power-of-two system both are views of the caller's arrays, which
     nothing writes; otherwise ``work`` is ``owned``, and the chain
-    recycles it as its spare buffer set.
+    recycles it as its spare buffer set. A :class:`SharedMatrixBatch`
+    of ``r`` planes loads ``d`` and solves ``x`` as ``(r, n_pad, m)``,
+    and ``Unpad`` unloads its logical row-major ``(r·m, n)`` answer.
     """
 
-    work: Union[TridiagonalBatch, BatchedTridiagonal]
+    work: Union[TridiagonalBatch, SharedMatrixBatch, BatchedTridiagonal]
     x: Optional[np.ndarray] = None  # solution, once the on-chip solve ran
     original_n: int = 0  # pre-padding system size, for Unpad
     owned: bool = False  # whether work is Pad's private copy
     chain: Optional[SplitChain] = None  # the split stages, until the solve
 
     @classmethod
-    def for_batch(cls, batch: TridiagonalBatch) -> "ExecState":
+    def for_batch(
+        cls, batch: Union[TridiagonalBatch, SharedMatrixBatch]
+    ) -> "ExecState":
         """Initial state: the raw batch, no solution yet."""
         return cls(work=batch, original_n=batch.system_size)
 
 
-def _load(batch: TridiagonalBatch, size: int) -> Tuple[BatchedTridiagonal, bool]:
-    """``pad_pow2(batch)`` as ``(size, m)`` arrays, and whether it copied."""
-    m, n = batch.shape
+def _load(
+    batch: Union[TridiagonalBatch, SharedMatrixBatch], size: int
+) -> Tuple[BatchedTridiagonal, bool]:
+    """``pad_pow2(batch)`` as ``(size, m)`` arrays, ``d`` as ``(r, size,
+    m)`` for ``r`` planes, and whether it copied."""
+    m, n = batch.b.shape
+    arrays = (batch.a, batch.b, batch.c, batch.d)
     if m == 1 and n == size:
-        return BatchedTridiagonal.interleave(batch), False
-    loaded = [np.empty((size, m), dtype=batch.dtype) for _ in range(4)]
-    for out, arr, fill in zip(loaded, (batch.a, batch.b, batch.c, batch.d), (0, 1, 0, 0)):
-        out[:n], out[n:] = arr.T, fill
+        return BatchedTridiagonal(*(np.swapaxes(arr, -1, -2) for arr in arrays)), False
+    loaded = [np.empty(arr.shape[:-2] + (size, m), dtype=batch.dtype) for arr in arrays]
+    for out, arr, fill in zip(loaded, arrays, (0, 1, 0, 0)):
+        out[..., :n, :], out[..., n:, :] = np.swapaxes(arr, -1, -2), fill
     return BatchedTridiagonal(*loaded), True
 
 
@@ -201,7 +212,9 @@ def execute_step(step: Step, ctx: KernelContext, state: ExecState) -> None:
         )
         return
     if isinstance(op, Unpad):
-        state.x = np.ascontiguousarray(state.x[: state.original_n].T)
+        n = state.original_n
+        x = np.ascontiguousarray(np.swapaxes(state.x[..., :n, :], -1, -2))
+        state.x = x.reshape(-1, n)
         return
     if isinstance(op, (Unsplit, Barrier)):
         return

@@ -15,11 +15,12 @@ from .properties import (
     summarize,
 )
 from .suite import PAPER_WORKLOAD_NAMES, Workload, build_workload, paper_workloads
-from .tridiagonal import TridiagonalBatch, TridiagonalSystem
+from .tridiagonal import SharedMatrixBatch, TridiagonalBatch, TridiagonalSystem
 
 __all__ = [
     "TridiagonalBatch",
     "TridiagonalSystem",
+    "SharedMatrixBatch",
     "BatchedTridiagonal",
     "interleave",
     "deinterleave",

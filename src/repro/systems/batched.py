@@ -25,7 +25,7 @@ from typing import List, Tuple
 import numpy as np
 
 from ..util.errors import ShapeError
-from ..util.validation import check_dtype, check_same_shape
+from ..util.validation import check_dtype
 from .tridiagonal import TridiagonalBatch
 
 __all__ = ["BatchedTridiagonal", "interleave", "deinterleave"]
@@ -39,6 +39,13 @@ class BatchedTridiagonal:
     system, column ``s`` holds system ``s``. The same corner convention
     as :class:`TridiagonalBatch` applies (``a[0, :]`` and ``c[-1, :]``
     are unused and fixed to 0).
+
+    ``d`` may instead be an ``(r, n, m)`` stack of right-hand-side
+    planes against the one matrix, the loaded
+    :class:`~repro.systems.tridiagonal.SharedMatrixBatch`. Counts and
+    shapes then describe the logical ``r·m`` systems, plane ``k`` being
+    systems ``[k·m, (k+1)·m)``; :meth:`deinterleave` takes one plane
+    only.
     """
 
     a: np.ndarray
@@ -50,12 +57,17 @@ class BatchedTridiagonal:
         arrays = {}
         for name in ("a", "b", "c", "d"):
             arr = np.asarray(getattr(self, name))
-            if arr.ndim != 2:
+            if arr.ndim != 2 and not (name == "d" and arr.ndim == 3):
                 raise ShapeError(
                     f"{name} must be 2-D (n, m) interleaved, got ndim={arr.ndim}"
                 )
             arrays[name] = arr
-        check_same_shape(list(arrays.values()), list(arrays))
+        shape = arrays["a"].shape
+        for name, arr in arrays.items():
+            if arr.shape[-2:] != shape:
+                raise ShapeError(
+                    f"{name} has shape {arr.shape}, expected {shape} (same as a)"
+                )
         dtype = check_dtype(arrays["b"], "b")
         for name in ("a", "c", "d"):
             if arrays[name].dtype != dtype:
@@ -79,9 +91,14 @@ class BatchedTridiagonal:
     # -- shape ------------------------------------------------------------
 
     @property
+    def planes(self) -> int:
+        """Right-hand-side planes ``r``: 1 for an ``(n, m)`` ``d``."""
+        return self.d.shape[0] if self.d.ndim == 3 else 1
+
+    @property
     def num_systems(self) -> int:
-        """Number of independent systems ``m`` (the fast axis)."""
-        return self.b.shape[1]
+        """Number of independent systems ``r·m`` (``m`` is the fast axis)."""
+        return self.b.shape[1] * self.planes
 
     @property
     def system_size(self) -> int:
@@ -90,7 +107,7 @@ class BatchedTridiagonal:
 
     @property
     def shape(self) -> Tuple[int, int]:
-        """Logical ``(m, n)`` — matching :class:`TridiagonalBatch`."""
+        """Logical ``(r·m, n)`` — matching :class:`TridiagonalBatch`."""
         return (self.num_systems, self.system_size)
 
     @property
@@ -100,8 +117,8 @@ class BatchedTridiagonal:
 
     @property
     def total_equations(self) -> int:
-        """Total equations in the batch, ``m * n``."""
-        return self.b.size
+        """Total equations in the batch, ``r·m·n``."""
+        return self.d.size
 
     @property
     def dtype(self) -> np.dtype:

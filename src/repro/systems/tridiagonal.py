@@ -15,7 +15,9 @@ Row ``i`` of the system reads ``a[i] * x[i-1] + b[i] * x[i] + c[i] * x[i+1]
 ``n`` as four ``(m, n)`` arrays. Batches are the unit of work for every
 solver in this library: the paper's workloads ("1K×1K", "1×2M", ...) map
 directly onto batch shapes, and vectorised NumPy kernels operate on whole
-batches at once.
+batches at once. :class:`SharedMatrixBatch` is the same ``m`` matrices
+against ``r`` right-hand sides each (SPIKE's three-RHS chunk solve),
+stored once and reported as the logical ``r·m``-system batch.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 from ..util.errors import ShapeError
 from ..util.validation import check_dtype, check_same_shape
 
-__all__ = ["TridiagonalSystem", "TridiagonalBatch"]
+__all__ = ["TridiagonalSystem", "TridiagonalBatch", "SharedMatrixBatch"]
 
 
 def _as_2d(arr: np.ndarray, name: str) -> np.ndarray:
@@ -215,6 +217,79 @@ class TridiagonalBatch:
             out[:, idx[1:], idx[:-1]] = self.a[:, 1:]
             out[:, idx[:-1], idx[1:]] = self.c[:, :-1]
         return out
+
+
+@dataclass(frozen=True)
+class SharedMatrixBatch:
+    """``m`` tridiagonal matrices, each against ``r`` right-hand sides.
+
+    ``a``, ``b`` and ``c`` are ``(m, n)`` as in :class:`TridiagonalBatch`;
+    ``d`` is an ``(r, m, n)`` stack of right-hand-side planes, the
+    convention of
+    :meth:`~repro.algorithms.factorized.PcrThomasFactorization.solve_many`.
+    It stands for the row-major batch :meth:`tiled` builds, ``r·m``
+    systems with plane ``k`` as systems ``[k·m, (k+1)·m)``, and reports
+    that batch's shape and bytes, so prices and memory-fit checks see
+    the systems a device holds while the host stores each matrix once.
+    """
+
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    d: np.ndarray
+
+    def __post_init__(self) -> None:
+        d = np.asarray(self.d)
+        if d.ndim != 3 or d.shape[0] < 1:
+            raise ShapeError(
+                f"d must be an (r, m, n) stack with r >= 1, got shape {d.shape}"
+            )
+        # Plane 0 with the matrix is a TridiagonalBatch: same checks.
+        matrix = TridiagonalBatch(self.a, self.b, self.c, d[0])
+        object.__setattr__(self, "a", matrix.a)
+        object.__setattr__(self, "b", matrix.b)
+        object.__setattr__(self, "c", matrix.c)
+        object.__setattr__(self, "d", np.ascontiguousarray(d))
+
+    @property
+    def planes(self) -> int:
+        """Right-hand sides per matrix, ``r``."""
+        return self.d.shape[0]
+
+    @property
+    def num_systems(self) -> int:
+        """Logical system count ``r·m``."""
+        return self.d.shape[0] * self.d.shape[1]
+
+    @property
+    def system_size(self) -> int:
+        """Number of equations per system ``n``."""
+        return self.b.shape[1]
+
+    @property
+    def shape(self) -> Tuple[int, int]:
+        """Logical ``(r·m, n)``, the shape of :meth:`tiled`."""
+        return (self.num_systems, self.system_size)
+
+    @property
+    def dtype(self) -> np.dtype:
+        """Common dtype of the coefficient arrays."""
+        return self.b.dtype
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the logical batch: four ``(r·m, n)`` arrays."""
+        return 4 * self.d.nbytes
+
+    def tiled(self) -> TridiagonalBatch:
+        """The logical batch: the matrix repeated once per plane."""
+        r = self.planes
+        return TridiagonalBatch(
+            np.tile(self.a, (r, 1)),
+            np.tile(self.b, (r, 1)),
+            np.tile(self.c, (r, 1)),
+            self.d.reshape(self.num_systems, self.system_size),
+        )
 
 
 @dataclass(frozen=True)

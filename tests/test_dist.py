@@ -20,8 +20,10 @@ from repro.dist import (
     render_dist_timeline,
     working_set_nbytes,
 )
+from repro.faults import ClockSkew, DeviceFailure, FaultInjector, FaultPlan
 from repro.gpu import make_device
 from repro.gpu.spec import get_device_spec
+from repro.ir import Engine
 from repro.service import BatchSolveService
 from repro.systems import generators
 from repro.util.errors import ConfigurationError, PlanError
@@ -136,6 +138,56 @@ class TestCostModel:
         _, priced = solver.price(2, 4096, 8)
         executed = solver.solve(batch).report
         assert priced.total_ms == pytest.approx(executed.total_ms, rel=1e-9)
+
+
+def _count_prices(monkeypatch):
+    """The kinds of the programs every later ``Engine.price`` call prices."""
+    calls = []
+    price = Engine.price
+
+    def counted(self, program):
+        calls.append(program.kind)
+        return price(self, program)
+
+    monkeypatch.setattr(Engine, "price", counted)
+    return calls
+
+
+class TestPriceMemo:
+    def test_fault_free_solves_price_a_plan_once(self, monkeypatch):
+        batch = generators.random_dominant(2, 4096, rng=13)
+        plan = DistributedSolver(4).plan_for(batch)
+        solver = DistributedSolver(4)
+        calls = _count_prices(monkeypatch)
+        first = solver.execute_plan(batch, plan)
+        second = solver.execute_plan(batch, plan)
+        assert calls == ["dist"]
+        assert second.report is first.report
+
+    def test_solves_under_an_injector_price_every_time(self, monkeypatch):
+        # Clock skew and link degradation can move a price between solves.
+        batch = generators.random_dominant(2, 4096, rng=14)
+        skewed = FaultPlan(faults=(ClockSkew(device=0, factor=8.0),))
+        solver = DistributedSolver(4, faults=skewed)
+        solver.solve(batch)
+        calls = _count_prices(monkeypatch)
+        solver.solve(batch)
+        solver.solve(batch)
+        assert calls == ["dist", "dist"]
+
+    def test_failover_penalty_is_the_aborted_plans_price(self):
+        batch = generators.random_dominant(4, 4096, rng=0)
+        price = DistributedSolver(4).price(4, 4096, 8)[1].total_ms
+        inj = FaultInjector(
+            FaultPlan(faults=(DeviceFailure(device=2, at_instruction=0),))
+        )
+        DistributedSolver(4, faults=inj).solve(batch)
+        penalties = [
+            e.penalty_ms
+            for e in inj.log.events()
+            if e.kind == "device_lost" and e.action == "failed_over"
+        ]
+        assert penalties[0] == price
 
 
 class TestDistPlan:

@@ -12,6 +12,12 @@ compared as a NaN: IEEE 754 leaves its sign and payload open.
 The host keeps one layout: ``Pad`` loads the systems-innermost
 ``(n_pad, m)`` view, ``Interleave`` moves no data, and ``Unpad`` unloads
 the row-major answer; the layout-contract tests pin each of those.
+
+A :class:`SharedMatrixBatch` of ``r`` right-hand-side planes must solve
+and fail exactly like the tiled batch it stands for, priced the same,
+while the chain does the matrix's work once: the operation-count tests
+pin ``10 + 4r`` ufunc calls per PCR segment and ``3 + 3r`` per forward
+Thomas row.
 """
 
 import tracemalloc
@@ -33,11 +39,11 @@ from repro.ir import (
     Unpad,
     lower_solve_plan,
 )
-from repro.kernels import KernelContext, SplitChain, dtype_size
+from repro.kernels import KernelContext, SplitChain, chain, dtype_size
 from repro.kernels.handlers import ExecState, execute_step
 from repro.systems import generators
 from repro.systems.batched import BatchedTridiagonal
-from repro.systems.tridiagonal import TridiagonalBatch
+from repro.systems.tridiagonal import SharedMatrixBatch, TridiagonalBatch
 from repro.util.errors import ShapeError, SingularSystemError
 from repro.util.validation import ilog2, next_power_of_two
 from tests.conftest import examples
@@ -84,6 +90,20 @@ def _zero_rows(batch, rows):
     return TridiagonalBatch(a, b, c, d)
 
 
+def _with_planes(batch, planes, seed):
+    """``(work, tiled)``: ``batch`` itself for ``planes=None``, else its
+    matrix against ``planes`` right-hand sides (plane 0 is ``batch.d``)
+    and the tiled batch that stands for."""
+    if planes is None:
+        return batch, batch
+    rng = np.random.default_rng(seed)
+    more = rng.standard_normal((planes - 1,) + batch.shape).astype(batch.dtype)
+    shared = SharedMatrixBatch(
+        batch.a, batch.b, batch.c, np.concatenate([batch.d[None], more])
+    )
+    return shared, shared.tiled()
+
+
 def _engine_outcome(batch, plan, fuse):
     program = lower_solve_plan(plan, DEVICE, dtype_size(batch.dtype), fuse=fuse)
     outcome = _outcome(lambda: Engine.for_device(DEVICE).execute(program, batch).x)
@@ -111,7 +131,18 @@ def _cases(draw):
         thomas_switch=1 << draw(st.integers(min_value=0, max_value=7)),
         dtype=draw(st.sampled_from([np.float32, np.float64])),
         fuse=draw(st.booleans()),
+        planes=draw(st.sampled_from([None, 1, 2, 3])),
     )
+
+
+# (m, n, k1, k2, thomas_switch, system, row) of one zeroed equation.
+_SINGULAR = [
+    (3, 4096, 2, 3, 64, 1, 1234),
+    (3, 4096, 5, 1, 8, 0, 0),
+    (5, 1000, 3, 0, 32, 4, 999),
+    (300, 64, 1, 1, 4, 123, 5),
+    (2, 256, 2, 2, 4, 1, 255),
+]
 
 
 class TestAgainstGatheredReference:
@@ -121,35 +152,32 @@ class TestAgainstGatheredReference:
         batch = generators.random_dominant(
             case["m"], case["n"], rng=seed, dtype=case["dtype"]
         )
+        work, tiled = _with_planes(batch, case["planes"], seed)
         plan = _plan(
-            case["m"], case["n"], case["k1"], case["k2"], case["thomas_switch"]
+            tiled.num_systems,
+            case["n"],
+            case["k1"],
+            case["k2"],
+            case["thomas_switch"],
         )
-        ref_x, _ = _reference_solve(DEVICE, batch, plan)
+        # Every plane against the tiled batch's systems.
+        ref_x, _ = _reference_solve(DEVICE, tiled, plan)
         program = lower_solve_plan(
             plan, DEVICE, dtype_size(batch.dtype), fuse=case["fuse"]
         )
         engine = Engine.for_device(DEVICE)
-        inputs = [arr.copy() for arr in (batch.a, batch.b, batch.c, batch.d)]
-        run = engine.execute(program, batch)
+        inputs = [arr.copy() for arr in _coeffs(work)]
+        run = engine.execute(program, work)
         np.testing.assert_array_equal(_bits(run.x), _bits(ref_x))
         # The governor's refinement and merged service groups reuse them.
-        for before, after in zip(inputs, (batch.a, batch.b, batch.c, batch.d)):
+        for before, after in zip(inputs, _coeffs(work)):
             np.testing.assert_array_equal(_bits(after), _bits(before))
-        priced = engine.price(program)
-        assert run.report.total_ms == priced.report.total_ms
-        assert run.report.stage_ms() == priced.report.stage_ms()
+        for report in (engine.price(program).report, engine.execute(program, tiled).report):
+            assert run.report.total_ms == report.total_ms
+            assert run.report.stage_ms() == report.stage_ms()
 
     @pytest.mark.parametrize("fuse", [False, True])
-    @pytest.mark.parametrize(
-        "m,n,k1,k2,thomas_switch,system,row",
-        [
-            (3, 4096, 2, 3, 64, 1, 1234),
-            (3, 4096, 5, 1, 8, 0, 0),
-            (5, 1000, 3, 0, 32, 4, 999),
-            (300, 64, 1, 1, 4, 123, 5),
-            (2, 256, 2, 2, 4, 1, 255),
-        ],
-    )
+    @pytest.mark.parametrize("m,n,k1,k2,thomas_switch,system,row", _SINGULAR)
     def test_zero_row_fails_like_the_reference(
         self, fuse, m, n, k1, k2, thomas_switch, system, row
     ):
@@ -158,6 +186,23 @@ class TestAgainstGatheredReference:
         with np.errstate(all="ignore"):
             expected = _outcome(lambda: _reference_solve(DEVICE, batch, plan)[0])
             got = _engine_outcome(batch, plan, fuse)
+        assert expected[0] == "singular"
+        assert got == expected
+
+    @pytest.mark.parametrize("fuse", [False, True])
+    @pytest.mark.parametrize("planes", [2, 3])
+    @pytest.mark.parametrize("m,n,k1,k2,thomas_switch,system,row", _SINGULAR)
+    def test_singular_matrix_fails_like_its_tiled_batch(
+        self, fuse, planes, m, n, k1, k2, thomas_switch, system, row
+    ):
+        """Same message and index: the first offending tiled system lies
+        in plane 0."""
+        batch = _zero_rows(generators.random_dominant(m, n, rng=5), [(system, row)])
+        work, tiled = _with_planes(batch, planes, seed=5)
+        plan = _plan(tiled.num_systems, n, k1, k2, thomas_switch)
+        with np.errstate(all="ignore"):
+            expected = _engine_outcome(tiled, plan, fuse)
+            got = _engine_outcome(work, plan, fuse)
         assert expected[0] == "singular"
         assert got == expected
 
@@ -173,10 +218,13 @@ class TestAgainstGatheredReference:
         batch = _zero_rows(
             generators.random_dominant(m, n, rng=seed, dtype=case["dtype"]), rows
         )
-        plan = _plan(m, n, case["k1"], case["k2"], case["thomas_switch"])
+        work, tiled = _with_planes(batch, case["planes"], seed)
+        plan = _plan(
+            tiled.num_systems, n, case["k1"], case["k2"], case["thomas_switch"]
+        )
         with np.errstate(all="ignore"):
-            expected = _outcome(lambda: _reference_solve(DEVICE, batch, plan)[0])
-            got = _engine_outcome(batch, plan, case["fuse"])
+            expected = _outcome(lambda: _reference_solve(DEVICE, tiled, plan)[0])
+            got = _engine_outcome(work, plan, case["fuse"])
         assert got == expected
 
 
@@ -263,3 +311,58 @@ class TestAllocation:
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * batch.nbytes
+
+
+class _CountingNumpy:
+    """``numpy``, counting every ufunc call made through it."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if not isinstance(attr, np.ufunc):
+            return attr
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return attr(*args, **kwargs)
+
+        return counted
+
+
+class TestSharedMatrixWork:
+    """The matrix's work runs once however many planes share it; one
+    plane, loaded from either container, makes the single-plane calls."""
+
+    @staticmethod
+    def _chain(planes, m, n):
+        work, _ = _with_planes(generators.random_dominant(m, n, rng=8), planes, 8)
+        state = ExecState.for_batch(work)
+        _run(state, Pad(n))
+        return SplitChain.of(state.work)
+
+    @pytest.mark.parametrize("planes", [None, 1, 2, 3])
+    def test_split_step_calls_per_segment(self, monkeypatch, planes):
+        split = self._chain(planes, 8, 4096)  # two tiles, four segments
+        numpy, segments = _CountingNumpy(), []
+        update = chain._update
+        monkeypatch.setattr(chain, "np", numpy)
+        monkeypatch.setattr(
+            chain, "_update", lambda *args: (segments.append(1), update(*args))
+        )
+        split.split(1)
+        assert len(segments) == 4
+        assert numpy.calls == len(segments) * (10 + 4 * (planes or 1))
+
+    @pytest.mark.parametrize("planes", [None, 1, 2, 3])
+    def test_thomas_calls_per_row(self, monkeypatch, planes):
+        rows, r = 64, planes or 1
+        sweep = self._chain(planes, 5, rows)
+        numpy = _CountingNumpy()
+        monkeypatch.setattr(chain, "np", numpy)
+        sweep.thomas(check=False)
+        first = 1 + r  # c' and every plane's d' of row 0
+        forward = 3 + 3 * r  # pivot and c' once, d' per plane
+        backward = 2 * r
+        assert numpy.calls == first + (rows - 1) * (forward + backward)
