@@ -95,7 +95,7 @@ def test_many_small_systems_interleaved_sweep(benchmark, emit, results_dir):
     from repro.core.tuning import make_tuner
     from repro.gpu import make_device
     from repro.ir import Engine, concat_solve_programs, lower_solve_plan
-    from repro.kernels import batched_thomas_sweep
+    from repro.kernels import SplitChain
     from repro.systems import BatchedTridiagonal
     from repro.systems.tridiagonal import TridiagonalBatch
 
@@ -117,13 +117,16 @@ def test_many_small_systems_interleaved_sweep(benchmark, emit, results_dir):
             ]
         )
 
+    def interleaved_sweep(interleaved):
+        return SplitChain.of(interleaved).thomas()
+
     interleaved = BatchedTridiagonal.interleave(batch)
-    sweep = benchmark(batched_thomas_sweep, interleaved)
+    sweep = benchmark(interleaved_sweep, interleaved)
     t0 = time.perf_counter()
     loop_x = per_system_loop()
     loop_s = time.perf_counter() - t0
     t0 = time.perf_counter()
-    sweep_x = batched_thomas_sweep(interleaved)
+    sweep_x = interleaved_sweep(interleaved)
     sweep_s = time.perf_counter() - t0
     np.testing.assert_array_equal(loop_x, np.ascontiguousarray(sweep_x.T))
     np.testing.assert_array_equal(sweep, sweep_x)

@@ -20,7 +20,7 @@ The package is organised bottom-up:
 The most common entry points are re-exported here.
 """
 
-__version__ = "1.4.0"
+__version__ = "1.5.0"
 
 from . import algorithms, analysis, baselines, core, dist, gpu, kernels, numerics, obs, service, systems, util  # noqa: F401
 from .core import MultiStageSolver, SelfTuner, SolveResult, SwitchPoints, solve  # noqa: F401

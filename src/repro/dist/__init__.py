@@ -5,7 +5,8 @@ across a :class:`DeviceGroup`: SPIKE-style row chunking for enormous
 systems (``rows`` mode) or system sharding for wide on-chip batches
 (``batch`` mode), with halo/spike exchanges priced on a
 :class:`LinkSpec` interconnect model and overlapped with local solves by
-the :mod:`~repro.dist.pipeline` scheduler.
+the list scheduler of :meth:`repro.ir.Engine.price`; the resulting
+per-device timelines are the :mod:`~repro.dist.pipeline` report types.
 
 Entry points: :class:`DistributedSolver` (plan/price/solve),
 :func:`make_device_group`, and :func:`render_dist_timeline` for the
@@ -13,15 +14,11 @@ per-device Gantt view benchmarks print.
 """
 
 from .pipeline import (
-    BatchCosts,
     DeviceTimeline,
     DistReport,
-    RowsCosts,
     TimelineEvent,
     render_dist_timeline,
     render_overlap_gantt,
-    schedule_batch,
-    schedule_rows,
 )
 from .partition import batch_shares, partition_bounds
 from .plan import DistPlan
@@ -36,7 +33,6 @@ from .topology import (
 )
 
 __all__ = [
-    "BatchCosts",
     "DeviceGroup",
     "DeviceTimeline",
     "DistPlan",
@@ -46,7 +42,6 @@ __all__ = [
     "Interconnect",
     "LINK_PRESETS",
     "LinkSpec",
-    "RowsCosts",
     "TimelineEvent",
     "batch_shares",
     "get_link",
@@ -54,7 +49,5 @@ __all__ = [
     "make_device_group",
     "render_dist_timeline",
     "render_overlap_gantt",
-    "schedule_batch",
-    "schedule_rows",
     "working_set_nbytes",
 ]

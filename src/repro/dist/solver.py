@@ -432,6 +432,11 @@ class DistributedSolver:
             )
         switch = self.switch_points_for(dsize)
         shares = batch_shares(m, p)
+        if len(shares) != p:
+            raise ConfigurationError(
+                f"batch mode needs at least one system per device ({m} "
+                f"systems, {p} devices)"
+            )
         template = plan_solve(self.group[0], shares[0], n, dsize, switch)
         if template.total_split_steps != 0:
             raise ConfigurationError(
@@ -444,9 +449,6 @@ class DistributedSolver:
         )
         for local in local_plans:
             self._check_local_memory(local, dsize)
-        if len(shares) != p:
-            # Fewer systems than devices: no full scatter exists.
-            raise ConfigurationError("one cost record per device is required")
         plan = DistPlan(
             mode="batch",
             num_devices=p,

@@ -8,9 +8,7 @@ solver, and the batched service all share one sequencing/pricing path.
 
 from .engine import Engine, EngineRun, StepTrace
 from .instructions import (
-    Barrier,
     BatchedSolve,
-    Fixed,
     Interleave,
     OnChipSolve,
     Pad,
@@ -22,7 +20,6 @@ from .instructions import (
     Step,
     Transfer,
     Unpad,
-    Unsplit,
     signature_text,
 )
 from .lower import concat_solve_programs, lower_dist_plan, lower_solve_plan
@@ -42,14 +39,11 @@ __all__ = [
     "SplitCoop",
     "SplitBlock",
     "OnChipSolve",
-    "Unsplit",
     "Interleave",
     "BatchedSolve",
     "ReducedSolve",
     "Reconstruct",
     "Transfer",
-    "Barrier",
-    "Fixed",
     "signature_text",
     "Engine",
     "EngineRun",

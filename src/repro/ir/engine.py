@@ -9,10 +9,12 @@ in two modes:
   (``kind="solve"``) programs only; this is what
   :meth:`MultiStageSolver.execute_plan` runs.
 - :meth:`Engine.price` — data-free. Solve programs submit the handlers'
-  :class:`~repro.gpu.cost.KernelCost` records to a session (bit-identical
-  totals to execution, because they are the *same* records in the same
-  order). Dist programs run an overlap-aware list scheduler: every
-  device exposes independent compute, egress, and ingress lanes (see
+  :class:`~repro.gpu.cost.KernelCost` records to a session. Execution
+  and pricing of a solve program run one loop, differing only in the
+  per-step body, so their totals are bit-identical by construction
+  (the *same* records in the same order). Dist programs run an
+  overlap-aware list scheduler: every device exposes independent
+  compute, egress, and ingress lanes (see
   :attr:`~repro.ir.instructions.Step.resource_keys`), ready steps are
   placed greedily at their earliest feasible start (ties resolve to
   program order), and each placement lands as an event on a per-device
@@ -44,7 +46,7 @@ mid-program failures are attributable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -53,7 +55,7 @@ from ..gpu.cost import kernel_time_ms
 from ..gpu.executor import Device
 from ..kernels.base import KernelContext
 from ..util.errors import FaultInjectionError, PlanError, ReproError
-from .instructions import Fixed, Program, Step, Transfer, signature_text
+from .instructions import Program, Step, Transfer, signature_text
 
 
 def _handlers():
@@ -109,10 +111,10 @@ class EngineRun:
 class Engine:
     """Interprets programs against a set of (simulated) devices.
 
-    ``devices`` entries may be :class:`Device` objects or bare name
-    strings — names suffice for programs made only of ``Fixed`` and
-    ``Transfer`` steps (the legacy scheduler wrappers); kernel opcodes
-    need real devices for the cost model.
+    ``devices`` are :class:`Device` objects, one per program device
+    index. A kernel step whose entry is anything else (a bare name, say)
+    raises :class:`~repro.util.errors.PlanError`: its cost model needs
+    the device spec.
     """
 
     def __init__(
@@ -237,7 +239,7 @@ class Engine:
         inj = self.injector
         return _RetryBudget(inj.retry.budget if inj is not None else 0)
 
-    # -- execute mode ------------------------------------------------------
+    # -- single-device solve programs --------------------------------------
 
     def execute(self, program: Program, batch) -> EngineRun:
         """Run ``program`` on real data; single-device programs only."""
@@ -246,68 +248,44 @@ class Engine:
                 f"only solve programs execute data; got kind {program.kind!r}"
             )
         handlers = _handlers()
-        device = self._require_device(0)
-        session = device.session()
-        ctx = KernelContext(session)
         state = handlers.ExecState.for_batch(batch)
-        budget = self._budget()
-        tracer = self.tracer
-        token = self._begin_program(program, 0.0)
-        trace: List[StepTrace] = []
-        try:
-            for i, step in enumerate(program.steps):
-                start = session.elapsed_ms
-                mark = session.num_records
-                retries = self._interpret(
-                    program, i, step, budget,
-                    lambda step=step: handlers.execute_step(step, ctx, state),
-                )
-                end = session.elapsed_ms
-                trace.append(self._trace(i, step, start, end))
-                if tracer is not None:
-                    self._span_step(
-                        i, step, start, end, retries,
-                        kernels=self._kernel_spans(session, mark, step.device),
-                    )
-        except ReproError as exc:
-            self._abort_program(token, session.elapsed_ms, exc)
-            raise
-        self._end_program(token, session.elapsed_ms)
-        return EngineRun(
-            program=program,
-            report=session.report(),
-            trace=tuple(trace),
-            x=state.x,
+        run = self._run_solve(
+            program, lambda step, ctx: handlers.execute_step(step, ctx, state)
         )
-
-    # -- price mode --------------------------------------------------------
+        return replace(run, x=state.x)
 
     def price(self, program: Program) -> EngineRun:
         """Price ``program`` without data."""
-        if program.kind == "solve":
-            return self._price_solve(program)
-        return self._price_dist(program)
-
-    def _price_solve(self, program: Program) -> EngineRun:
+        if program.kind != "solve":
+            return self._price_dist(program)
         handlers = _handlers()
-        device = self._require_device(0)
-        session = device.session()
+
+        def submit(step: Step, ctx: KernelContext) -> None:
+            for cost in handlers.price_costs(step, ctx, program.dtype_size):
+                ctx.session.submit(cost, stage=step.stage)
+
+        return self._run_solve(program, submit)
+
+    def _run_solve(self, program: Program, body) -> EngineRun:
+        """Interpret a solve program step by step on one live session.
+
+        ``body(step, ctx)`` is the per-step work: the kernel handler in
+        execute mode, the bare cost submissions in price mode. Both
+        modes share everything else (retry budget, fault retries, step
+        trace, spans, abort), so their clocks agree by construction.
+        """
+        session = self._require_device(0).session()
         ctx = KernelContext(session)
         budget = self._budget()
-        trace: List[StepTrace] = []
-
-        def submit(step: Step) -> None:
-            for cost in handlers.price_costs(step, ctx, program.dtype_size):
-                session.submit(cost, stage=step.stage)
-
         tracer = self.tracer
         token = self._begin_program(program, 0.0)
+        trace: List[StepTrace] = []
         try:
             for i, step in enumerate(program.steps):
                 start = session.elapsed_ms
                 mark = session.num_records
                 retries = self._interpret(
-                    program, i, step, budget, lambda step=step: submit(step)
+                    program, i, step, budget, lambda step=step: body(step, ctx)
                 )
                 end = session.elapsed_ms
                 trace.append(self._trace(i, step, start, end))
@@ -323,6 +301,8 @@ class Engine:
         return EngineRun(
             program=program, report=session.report(), trace=tuple(trace)
         )
+
+    # -- dist programs -----------------------------------------------------
 
     def _price_dist(self, program: Program) -> EngineRun:
         from ..dist.pipeline import DeviceTimeline, DistReport, TimelineEvent
@@ -465,8 +445,6 @@ class Engine:
     def _step_duration(self, step: Step, program: Program) -> float:
         """Simulated duration of one non-marker step."""
         op = step.op
-        if isinstance(op, Fixed):
-            return op.ms
         if isinstance(op, Transfer):
             if self.interconnect is None:
                 raise PlanError(

@@ -30,14 +30,11 @@ __all__ = [
     "SplitCoop",
     "SplitBlock",
     "OnChipSolve",
-    "Unsplit",
     "Interleave",
     "BatchedSolve",
     "ReducedSolve",
     "Reconstruct",
     "Transfer",
-    "Barrier",
-    "Fixed",
     "Step",
     "Program",
     "MARKER_OPS",
@@ -97,15 +94,6 @@ class OnChipSolve:
 
 
 @dataclass(frozen=True)
-class Unsplit:
-    """Invert ``steps`` PCR split steps on the solution (free). Nothing
-    runs on the host: the split stages keep the original equation order
-    (:class:`~repro.kernels.chain.SplitChain`)."""
-
-    steps: int
-
-
-@dataclass(frozen=True)
 class Interleave:
     """Layout conversion between row-major and interleaved (SoA) batches.
 
@@ -124,8 +112,8 @@ class Interleave:
 class BatchedSolve:
     """The fused interleaved-batch sweep (stages 1-4 in SoA layout).
 
-    Replaces a ``SplitCoop``/``SplitBlock``/``OnChipSolve``/``Unsplit``
-    chain: ``stage1_steps + stage2_steps`` coalesced global split passes
+    Replaces a ``SplitCoop``/``SplitBlock``/``OnChipSolve`` chain:
+    ``stage1_steps + stage2_steps`` coalesced global split passes
     over the interleaved batch and the hybrid smem PCR-Thomas solve,
     each pass a vectorised sweep over the whole batch. Emitted
     only by the fusion pass (:func:`repro.ir.passes.fuse_batched`);
@@ -165,28 +153,10 @@ class Transfer:
     dst: int
 
 
-@dataclass(frozen=True)
-class Barrier:
-    """Pure dependency aggregator; no cost, no event."""
-
-
-@dataclass(frozen=True)
-class Fixed:
-    """A pre-priced span of ``ms`` simulated milliseconds.
-
-    Escape hatch for the legacy :mod:`repro.dist.pipeline` scheduler
-    API, whose callers hand in already-priced per-device costs.
-    """
-
-    ms: float
-
-
 # Opcodes that are bookkeeping only: never priced, never drawn on a
 # timeline (Pad/Unpad still load and unload the host layout, but cost
 # nothing in the machine model).
-MARKER_OPS = (Pad, Unpad, Unsplit, Barrier)
-
-_ENGINES = ("compute", "xfer")
+MARKER_OPS = (Pad, Unpad)
 
 
 def _op_signature(op) -> Tuple:
@@ -204,10 +174,9 @@ class Step:
 
     ``shape`` is ``(num_systems, system_size)`` as seen by this step
     (after any preceding splits). ``deps`` are indices of earlier steps
-    that must finish first; ``resource`` names the serialising engine
-    slot (defaulting to ``dev{device}:{engine}``) — e.g. the batch-mode
-    scatter claims the host's egress link from every receiving device's
-    timeline.
+    that must finish first. The lanes a step serialises on follow from
+    its engine and, for a ``Transfer``, its endpoints
+    (:attr:`resource_keys`).
     """
 
     op: object
@@ -216,29 +185,21 @@ class Step:
     stage: str = ""
     shape: Tuple[int, int] = (0, 0)
     deps: Tuple[int, ...] = ()
-    resource: str = ""
-
-    @property
-    def resource_key(self) -> str:
-        """The primary serialising resource this step occupies."""
-        return self.resource or f"dev{self.device}:{self.engine}"
 
     @property
     def resource_keys(self) -> Tuple[str, ...]:
         """Every serialising lane this step holds while it runs.
 
-        Most steps hold one slot — the explicit ``resource`` override or
-        the issuing device's engine. A cross-device ``Transfer`` holds
+        Most steps hold one slot, the issuing device's engine
+        (``dev{device}:{engine}``). A cross-device ``Transfer`` holds
         two: the source's **egress** lane and the destination's
         **ingress** lane. One device streaming out therefore never
         blocks a neighbour streaming in (full-duplex links), but two
         messages sharing either endpoint serialise — the hub contention
-        the rows-mode reduced exchange suffers on ``dev0:ingress`` falls
-        out of the lane model instead of needing hand-placed resource
-        strings.
+        the rows-mode reduced exchange suffers on ``dev0:ingress`` and
+        the batch-mode scatter and gather on the host's links both fall
+        out of the lane model.
         """
-        if self.resource:
-            return (self.resource,)
         op = self.op
         if isinstance(op, Transfer) and op.src != op.dst:
             return (f"dev{op.src}:egress", f"dev{op.dst}:ingress")
@@ -263,7 +224,6 @@ class Step:
             self.engine,
             self.stage,
             self.shape[1],
-            self.resource,
         )
 
     def describe(self) -> str:

@@ -6,8 +6,7 @@ spelled out as steps. :func:`lower_dist_plan` turns a
 :class:`~repro.dist.plan.DistPlan` into a multi-device ``dist`` program:
 the same local solve fragments placed per device, plus the transfers,
 the SPIKE reduced solve, and the reconstruction, with dependency edges
-and resource claims encoding exactly the overlap structure the pipeline
-scheduler used to hand-roll.
+encoding the overlap structure the engine's list scheduler prices.
 
 Every lowering runs the default pass pipeline, so zero-step splits and
 zero-byte transfers never reach the engine.
@@ -31,7 +30,6 @@ from .instructions import (
     Step,
     Transfer,
     Unpad,
-    Unsplit,
 )
 from .passes import run_default_passes
 
@@ -63,7 +61,9 @@ def _solve_steps(
     stages: Tuple[str, str, str] = _SOLVE_STAGES,
     marker_stage: str = "",
 ) -> List[Step]:
-    """The staged-solve fragment for one local plan, chained internally.
+    """The staged-solve fragment for one local plan, chained internally:
+    ``Pad → SplitCoop → SplitBlock → OnChipSolve → Unpad``, whose
+    zero-step splits the dead-step pass drops.
 
     ``base`` is the index the first emitted step will occupy in the
     enclosing program; ``deps`` feeds the fragment's first step.
@@ -96,8 +96,6 @@ def _solve_steps(
         stage=stages[2],
         shape=(plan.systems_entering_stage3, plan.stage3_system_size),
     )
-    add(Unsplit(plan.stage2_steps), stage=marker_stage, shape=(m, n))
-    add(Unsplit(plan.stage1_steps), stage=marker_stage, shape=(m, n))
     add(Unpad(), stage=marker_stage, shape=(m, n))
     return steps
 
@@ -189,12 +187,11 @@ def lower_dist_plan(
     """Lower a :class:`DistPlan` to a multi-device ``dist`` program.
 
     ``switch`` is the group's resolved switch points — the split rows
-    schedule re-plans the spike and data solves separately, exactly as
-    the pipeline pricing used to. With ``fuse=True`` the batched-fusion
-    pass rewrites every self-contained local fragment into interleaved
-    sweeps (the multi-device composition of ``--fuse``); the pipelined
-    mode fuses unconditionally — interleaved local solves are part of
-    its definition.
+    schedule re-plans the spike and data solves separately. With
+    ``fuse=True`` the batched-fusion pass rewrites every self-contained
+    local fragment into interleaved sweeps (the multi-device composition
+    of ``--fuse``); the pipelined mode fuses unconditionally —
+    interleaved local solves are part of its definition.
     """
     if plan.mode == "batch":
         return _lower_batch(plan, group, dtype_size, fuse=fuse)

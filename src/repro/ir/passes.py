@@ -4,13 +4,11 @@ Every lowering runs :func:`run_default_passes` before a program reaches
 the engine:
 
 1. :func:`eliminate_dead_steps` — drop no-op steps (``SplitCoop``/
-   ``SplitBlock``/``Unsplit`` with zero split steps, zero-byte
-   ``Transfer``s) and forward their dependency edges, so e.g. a plan
-   with ``stage1_steps=0`` lowers to a program with no ``SplitCoop`` at
-   all and the matching zero-step ``Unsplit`` disappears with it.
-2. :func:`canonicalize` — normalise the representation-level degrees of
-   freedom (explicitly spelled default resources, duplicate dependency
-   edges) so structurally equal programs compare and sign equal.
+   ``SplitBlock`` with zero split steps, zero-byte ``Transfer``s) and
+   forward their dependency edges, so e.g. a plan with
+   ``stage1_steps=0`` lowers to a program with no ``SplitCoop`` at all.
+2. :func:`canonicalize` — sort and deduplicate dependency edges, so
+   structurally equal programs compare and sign equal.
 3. :func:`infer_dependencies` (dist programs) — make implicit
    program-order sequencing on a (device, engine) lane explicit: a
    dep-less step that follows another step on its lane gets a
@@ -46,7 +44,6 @@ from typing import Dict, List, Optional, Tuple
 from ..util.errors import PlanError
 from .instructions import (
     BatchedSolve,
-    Fixed,
     Interleave,
     OnChipSolve,
     Pad,
@@ -56,7 +53,6 @@ from .instructions import (
     Step,
     Transfer,
     Unpad,
-    Unsplit,
 )
 
 __all__ = [
@@ -72,7 +68,7 @@ _ENGINES = ("compute", "xfer")
 
 
 def _is_dead(op) -> bool:
-    if isinstance(op, (SplitCoop, SplitBlock, Unsplit)):
+    if isinstance(op, (SplitCoop, SplitBlock)):
         return op.steps == 0
     if isinstance(op, Transfer):
         return op.values_per_system == 0
@@ -112,20 +108,16 @@ def eliminate_dead_steps(program: Program) -> Program:
 def canonicalize(program: Program) -> Program:
     """Normalise representation-only degrees of freedom.
 
-    An explicitly spelled default resource becomes the empty string and
-    dependency lists are deduplicated and sorted, so two lowerings of
+    Dependency lists are deduplicated and sorted, so two lowerings of
     the same schedule produce structurally equal (and equally signed)
     programs. Returns ``program`` itself when already canonical.
     """
     steps: List[Step] = []
     changed = False
     for step in program.steps:
-        resource = step.resource
-        if resource == f"dev{step.device}:{step.engine}":
-            resource = ""
         deps = tuple(sorted(set(step.deps)))
-        if resource != step.resource or deps != step.deps:
-            step = replace(step, resource=resource, deps=deps)
+        if deps != step.deps:
+            step = replace(step, deps=deps)
             changed = True
         steps.append(step)
     if not changed:
@@ -140,8 +132,8 @@ def infer_dependencies(program: Program) -> Program:
     program order; dependency edges are its only correctness
     constraint. Every lowering in this package emits explicit edges,
     so this pass is a no-op on them — but a hand-assembled dist program
-    (the legacy cost-record wrappers, tests, external callers) may have
-    relied on program order within one device engine for correctness.
+    (tests, external callers) may have relied on program order within
+    one device engine for correctness.
     This pass makes that implicit order explicit: a non-marker step
     with *no* dependencies that follows another non-marker step on the
     same ``(device, engine)`` lane gains an edge on it. Steps that
@@ -188,7 +180,7 @@ class _Fragment:
 
 def _match_fragment(steps: Tuple[Step, ...], start: int) -> Optional[_Fragment]:
     """Match the staged chain ``Pad [SplitCoop] [SplitBlock] OnChipSolve
-    Unsplit* Unpad`` as a linear dependency chain starting at ``start``.
+    Unpad`` as a linear dependency chain starting at ``start``.
 
     Only self-contained fragments fuse: the ``Pad`` must have no
     external dependencies and every later step must depend exactly on
@@ -218,8 +210,6 @@ def _match_fragment(steps: Tuple[Step, ...], start: int) -> Optional[_Fragment]:
         return None
     solve = steps[i].op
     i += 1
-    while i < len(steps) and isinstance(steps[i].op, Unsplit) and chained(i):
-        i += 1
     if i >= len(steps) or not isinstance(steps[i].op, Unpad) or not chained(i):
         return None
     end = i
@@ -270,7 +260,7 @@ def _fused_steps(frag: _Fragment, num_systems: int, base: int) -> List[Step]:
 def fuse_batched(program: Program) -> Program:
     """Rewrite staged solve fragments into fused interleaved sweeps.
 
-    Each ``Pad → SplitCoop/SplitBlock → OnChipSolve → Unsplit* → Unpad``
+    Each ``Pad → [SplitCoop] → [SplitBlock] → OnChipSolve → Unpad``
     chain becomes ``Pad → Interleave(in) → BatchedSolve →
     Interleave(out) → Unpad``; *adjacent* fragments with identical
     (count-independent) step signatures — the service's plan-signature
@@ -370,8 +360,6 @@ def validate(program: Program) -> Program:
                     raise PlanError(
                         f"{ident} transfers via device {end} of {p}"
                     )
-        if isinstance(step.op, Fixed) and program.kind == "solve":
-            raise PlanError(f"{ident}: solve programs carry no fixed spans")
     return program
 
 

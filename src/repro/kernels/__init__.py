@@ -1,11 +1,6 @@
 """Simulated GPU kernels: exact numerics + machine-model cost accounting."""
 
-from .batched import (
-    BatchedSweepKernel,
-    batched_pcr_solve,
-    batched_pcr_thomas_sweep,
-    batched_thomas_sweep,
-)
+from .batched import BatchedSweepKernel
 from .base import (
     GLOBAL_PCR_INSTR_PER_EQ,
     GLOBAL_PCR_VALUES_PER_EQ,
@@ -31,9 +26,6 @@ __all__ = [
     "CoopPcrKernel",
     "ThomasGlobalKernel",
     "BatchedSweepKernel",
-    "batched_thomas_sweep",
-    "batched_pcr_solve",
-    "batched_pcr_thomas_sweep",
     "SplitChain",
     "DivideKernel",
     "TransposeKernel",

@@ -7,18 +7,17 @@ step is a single NumPy sweep whose GPU equivalent is a fully coalesced
 pass — the layout trick of Gloster et al. (arXiv:1909.04539) and the
 batched-PDE solvers of Carroll et al. (arXiv:2107.05395).
 
-The numerics run on :class:`~repro.kernels.chain.SplitChain` over the
-interleaved ``(n, m)`` arrays — the one host layout of every
-single-device solve, which the engine's ``Pad`` loads. Because every
-update is elementwise across the system axis (no cross-system
-reductions), the floats produced per logical element are
-**bit-identical** to the row-major algorithms — the property the IR
-fusion pass (:func:`repro.ir.passes.fuse_batched`) and its parity tests
-rely on.
-
 The launchable kernel is :class:`BatchedSweepKernel`, the fused
 multi-stage pipeline (global splits + hybrid smem PCR-Thomas) behind the
-``BatchedSolve`` IR opcode.
+``BatchedSolve`` IR opcode. Its numerics run on
+:class:`~repro.kernels.chain.SplitChain` over the interleaved ``(n, m)``
+arrays — the one host layout of every single-device solve, which the
+engine's ``Pad`` loads. Because every update is elementwise across the
+system axis (no cross-system reductions), the floats produced per
+logical element are **bit-identical** to the row-major algorithms — the
+property the IR fusion pass (:func:`repro.ir.passes.fuse_batched`) and
+its parity tests rely on. Other interleaved solves call the chain
+directly: ``SplitChain.of(batched).thomas()`` or ``.solve(switch)``.
 """
 
 from __future__ import annotations
@@ -46,50 +45,7 @@ from .base import (
 )
 from .chain import SplitChain
 
-__all__ = [
-    "batched_thomas_sweep",
-    "batched_pcr_solve",
-    "batched_pcr_thomas_sweep",
-    "BatchedSweepKernel",
-]
-
-
-# -- interleaved numerics ----------------------------------------------------
-#
-# Each returns the (n, m) solution, equal bit for bit to the row-major
-# algorithm's transposed.
-
-
-def batched_thomas_sweep(
-    batched: BatchedTridiagonal, *, check: bool = True
-) -> np.ndarray:
-    """Thomas over the interleaved axis, like
-    :func:`repro.algorithms.thomas.thomas_solve` — including the pivot
-    floor and the first-offending-system report."""
-    return SplitChain.of(batched).thomas(check=check)
-
-
-def batched_pcr_solve(batched: BatchedTridiagonal) -> np.ndarray:
-    """Pure PCR over the interleaved axis: reduce to size-1 systems."""
-    n = batched.system_size
-    check_power_of_two(n, "system_size")
-    chain = SplitChain.of(batched)
-    chain.split(ilog2(n))
-    return chain.solve(1)
-
-
-def batched_pcr_thomas_sweep(
-    batched: BatchedTridiagonal,
-    thomas_switch: int = 64,
-    *,
-    check: bool = True,
-) -> np.ndarray:
-    """Hybrid PCR-Thomas over the interleaved axis, like
-    :func:`repro.algorithms.pcr_thomas.pcr_thomas_solve`."""
-    return SplitChain.of(batched).solve(thomas_switch, check=check)
-
-
-# -- launchable kernels ------------------------------------------------------
+__all__ = ["BatchedSweepKernel"]
 
 
 def _interleaved_traffic(

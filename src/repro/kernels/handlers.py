@@ -11,14 +11,14 @@ kernel's price and its execution can never drift apart:
   numerics on an :class:`ExecState`, submitting the *same* cost records,
   built for the logical shape of the data it carries.
 
-Marker opcodes (``Pad``/``Unpad``/``Unsplit``/``Barrier``) cost nothing.
-Execute mode keeps one host layout, the systems-innermost ``(n, m)``
+The marker opcodes ``Pad`` and ``Unpad`` cost nothing. Execute mode
+keeps one host layout, the systems-innermost ``(n, m)``
 :class:`~repro.systems.batched.BatchedTridiagonal`: ``Pad`` loads the
 batch into it once and ``Unpad`` unloads the row-major solution once.
 Every solve opcode runs :class:`~repro.kernels.chain.SplitChain` on that
-view in the original equation order, so ``Unsplit`` has nothing to
-un-scatter and ``Interleave`` submits its priced transpose but moves no
-data: fused and unfused programs run the same host numerics. A
+view in the original equation order, so no step un-scatters a split
+and ``Interleave`` submits its priced transpose but moves no data:
+fused and unfused programs run the same host numerics. A
 :class:`~repro.systems.tridiagonal.SharedMatrixBatch` loads its matrix
 once and its ``r`` right-hand sides as ``(r, n, m)`` planes, and is
 priced as the logical ``r·m``-system batch it stands for.
@@ -32,7 +32,6 @@ from typing import List, Optional, Tuple, Union
 import numpy as np
 
 from ..ir.instructions import (
-    Barrier,
     BatchedSolve,
     Interleave,
     OnChipSolve,
@@ -43,7 +42,6 @@ from ..ir.instructions import (
     SplitCoop,
     Step,
     Unpad,
-    Unsplit,
 )
 from ..systems.batched import BatchedTridiagonal
 from ..systems.tridiagonal import SharedMatrixBatch, TridiagonalBatch
@@ -66,8 +64,8 @@ __all__ = ["ExecState", "price_costs", "execute_step"]
 def price_costs(step: Step, ctx: KernelContext, dtype_size: int) -> List:
     """The kernel cost records ``step`` submits, in submission order.
 
-    Markers and non-kernel opcodes (``Transfer``/``Fixed``, priced by
-    the engine itself) return an empty list.
+    Markers and ``Transfer`` (priced by the engine itself) return an
+    empty list.
     """
     return _costs(step.op, ctx, *step.shape, dtype_size)
 
@@ -215,8 +213,6 @@ def execute_step(step: Step, ctx: KernelContext, state: ExecState) -> None:
         n = state.original_n
         x = np.ascontiguousarray(np.swapaxes(state.x[..., :n, :], -1, -2))
         state.x = x.reshape(-1, n)
-        return
-    if isinstance(op, (Unsplit, Barrier)):
         return
     raise PlanError(
         f"opcode {type(op).__name__} is not executable on a single device"

@@ -25,7 +25,7 @@ from .admission import (
     TenantQuota,
 )
 from .autoscaler import AutoscaleDecision, Autoscaler, AutoscalerPolicy
-from .fleet import ScalableWorkerFleet
+from ..service.fleet import ScalableWorkerFleet
 from .frontend import AsyncSolveService
 from .shards import ShardedTuningCache
 from .simulate import (

@@ -5,9 +5,8 @@
 - a :class:`~repro.service.BatchSolveService` for everything the
   service layer already does right — plan/tuning reuse, deterministic
   plan-signature grouping, merged solves, bisection, deadlines, the
-  circuit breaker — executed on a resizable
-  :class:`~repro.serve.fleet.ScalableWorkerFleet` instead of a fixed
-  thread pool;
+  circuit breaker — executed on the service's resizable
+  :class:`~repro.service.fleet.ScalableWorkerFleet`;
 - a sharded :class:`~repro.serve.shards.ShardedTuningCache` in place of
   the single-lock cache;
 - an optional :class:`~repro.serve.admission.AdmissionController`
@@ -35,7 +34,6 @@ from ..service.workers import BatchSolveService, ServiceResult
 from ..systems.tridiagonal import TridiagonalBatch
 from .admission import AdmissionController
 from .autoscaler import Autoscaler, AutoscalerPolicy
-from .fleet import ScalableWorkerFleet
 from .shards import ShardedTuningCache
 
 __all__ = ["AsyncSolveService"]
@@ -88,8 +86,6 @@ class AsyncSolveService:
         self.cache = (
             cache if cache is not None else ShardedTuningCache(num_shards)
         )
-        self.fleet = ScalableWorkerFleet(workers)
-        self.fleet.attach_metrics(self.metrics)
         self.admission = admission
         if admission is not None:
             admission.attach_metrics(self.metrics)
@@ -97,6 +93,7 @@ class AsyncSolveService:
             device,
             tuning,
             cache=self.cache,
+            max_workers=workers,
             max_pending=max_pending,
             overflow=overflow,
             submit_timeout=submit_timeout,
@@ -108,8 +105,9 @@ class AsyncSolveService:
             breaker=breaker,
             metrics=self.metrics,
             tracer=tracer,
-            executor=self.fleet,
         )
+        self.fleet = self.service.fleet
+        self.fleet.attach_metrics(self.metrics)
         self.autoscaler: Optional[Autoscaler] = None
         if autoscale:
             policy = (

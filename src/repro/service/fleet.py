@@ -1,11 +1,12 @@
-"""A worker fleet the autoscaler can grow and shrink at runtime.
+"""The worker pool every batched solve service runs on.
 
 ``concurrent.futures.ThreadPoolExecutor`` fixes its size at
 construction; the serving tier needs a pool whose width tracks load.
-:class:`ScalableWorkerFleet` is a minimal executor — ``submit`` /
-``shutdown`` compatible, so :class:`~repro.service.BatchSolveService`
-accepts it via its ``executor=`` hook — backed by a shared work queue
-and N threads, plus :meth:`resize`:
+:class:`ScalableWorkerFleet` is a minimal executor (``submit`` /
+``shutdown``) backed by a shared work queue and N threads, plus
+:meth:`resize`. :class:`~repro.service.BatchSolveService` runs its
+merged solves on one (``service.fleet``), and the serving tier's
+autoscaler resizes that same fleet:
 
 - growing spawns threads immediately;
 - shrinking enqueues poison pills, so busy workers finish their merged
@@ -22,7 +23,6 @@ from __future__ import annotations
 import queue
 import threading
 from concurrent.futures import Future
-from typing import Optional
 
 from ..util.errors import ConfigurationError
 

@@ -12,8 +12,9 @@ requests; the service
    :class:`~repro.ir.Program`, the exact step sequence the shared
    engine will run — into single merged
    :class:`~repro.systems.TridiagonalBatch` solves, and
-4. executes the groups concurrently on a bounded thread pool, with
-   queue backpressure (``max_pending`` + block/reject policy).
+4. executes the groups concurrently on a
+   :class:`~repro.service.fleet.ScalableWorkerFleet` (``service.fleet``),
+   with queue backpressure (``max_pending`` + block/reject policy).
 
 Merged solves amortise the per-launch overhead that dominates small
 workloads — the simulated analogue of the interleaved batch solvers of
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -51,6 +52,7 @@ from ..util.errors import (
 )
 from ..util.validation import check_system_batch
 from .batcher import GroupKey, ServiceRequest, SolveGroup, group_requests
+from .fleet import ScalableWorkerFleet
 from .queue import BoundedRequestQueue, CircuitBreaker
 from .stats import ServiceStats
 
@@ -91,7 +93,9 @@ class BatchSolveService:
         Shared :class:`TuningCache` (or a path for a persistent one).
         Created memory-only when omitted.
     max_workers:
-        Worker threads executing merged solves concurrently.
+        Initial width of :attr:`fleet`, the worker threads executing
+        merged solves concurrently (the serving tier's autoscaler may
+        resize it).
     max_pending / overflow / submit_timeout:
         Backpressure: the pending queue holds at most ``max_pending``
         requests; ``overflow="block"`` waits (up to ``submit_timeout``
@@ -161,7 +165,6 @@ class BatchSolveService:
         breaker: Optional[CircuitBreaker] = None,
         metrics=None,
         tracer=None,
-        executor=None,
         fuse: Union[bool, str] = "auto",
     ):
         if max_workers < 1:
@@ -190,18 +193,7 @@ class BatchSolveService:
         self._queue: BoundedRequestQueue[ServiceRequest] = BoundedRequestQueue(
             max_pending=max_pending, policy=overflow
         )
-        # ``executor`` lets the serving tier supply its own worker fleet
-        # (e.g. the resizable one the autoscaler drives); anything with
-        # ``submit(fn, *args) -> Future`` and ``shutdown(wait=...)``
-        # works. The service owns whichever pool it ends up with —
-        # ``close`` shuts it down either way.
-        self._pool = (
-            executor
-            if executor is not None
-            else ThreadPoolExecutor(
-                max_workers=max_workers, thread_name_prefix="repro-solve"
-            )
-        )
+        self.fleet = ScalableWorkerFleet(max_workers, name="repro-solve")
         self._lock = threading.Lock()
         self._seq = 0
         self._devices: Dict[str, Device] = {}
@@ -494,7 +486,7 @@ class BatchSolveService:
             pending, max_group_systems=self.max_group_systems
         )
         for group in groups:
-            fut = self._pool.submit(self._run_group, group)
+            fut = self.fleet.submit(self._run_group, group)
             with self._lock:
                 self._group_futures.append(fut)
         return len(groups)
@@ -680,12 +672,12 @@ class BatchSolveService:
             fut.result()
 
     def close(self, wait: bool = True) -> None:
-        """Dispatch any pending work, then shut the pool down."""
+        """Dispatch any pending work, then shut the fleet down."""
         if self._closed:
             return
         self.flush()
         self._closed = True
-        self._pool.shutdown(wait=wait)
+        self.fleet.shutdown(wait=wait)
 
     def __enter__(self) -> "BatchSolveService":
         return self

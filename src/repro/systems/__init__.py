@@ -1,7 +1,7 @@
 """Tridiagonal system containers, generators, properties, and I/O."""
 
 from . import generators
-from .batched import BatchedTridiagonal, deinterleave, interleave
+from .batched import BatchedTridiagonal
 from .io import load_batch, save_batch
 from .properties import (
     BatchSummary,
@@ -22,8 +22,6 @@ __all__ = [
     "TridiagonalSystem",
     "SharedMatrixBatch",
     "BatchedTridiagonal",
-    "interleave",
-    "deinterleave",
     "generators",
     "save_batch",
     "load_batch",

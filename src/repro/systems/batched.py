@@ -11,7 +11,8 @@ worst possible layout for a GPU batch, where a warp wants to touch
 Gloster et al. (arXiv:1909.04539) and Carroll et al. (arXiv:2107.05395)
 use: arrays are ``(n, m)``, all systems' equation ``i`` adjacent, so
 every sweep over the equation axis is a fully coalesced pass over the
-system axis. ``interleave``/``deinterleave`` convert between the two
+system axis. :meth:`BatchedTridiagonal.interleave` and
+:meth:`~BatchedTridiagonal.deinterleave` convert between the two
 layouts and round-trip bit-exactly; since both layouts hold the same
 floats per logical element, every elementwise algorithm produces
 bit-identical values in either layout.
@@ -20,7 +21,7 @@ bit-identical values in either layout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from ..util.errors import ShapeError
 from ..util.validation import check_dtype
 from .tridiagonal import TridiagonalBatch
 
-__all__ = ["BatchedTridiagonal", "interleave", "deinterleave"]
+__all__ = ["BatchedTridiagonal"]
 
 
 @dataclass(frozen=True)
@@ -142,30 +143,6 @@ class BatchedTridiagonal:
             np.ascontiguousarray(batch.d.T),
         )
 
-    @classmethod
-    def interleave_all(
-        cls, batches: "List[TridiagonalBatch]"
-    ) -> "BatchedTridiagonal":
-        """Interleave a ragged list of equal-``n`` batches into one.
-
-        System counts may differ per batch (the service's merged groups
-        are exactly this shape); systems land in list order along the
-        fast axis.
-        """
-        if not batches:
-            raise ShapeError("cannot interleave an empty list of batches")
-        sizes = {batch.system_size for batch in batches}
-        if len(sizes) != 1:
-            raise ShapeError(
-                f"cannot interleave batches of differing sizes {sorted(sizes)}"
-            )
-        return cls(
-            np.concatenate([t.a for t in batches]).T,
-            np.concatenate([t.b for t in batches]).T,
-            np.concatenate([t.c for t in batches]).T,
-            np.concatenate([t.d for t in batches]).T,
-        )
-
     def deinterleave(self) -> TridiagonalBatch:
         """Transpose back to the row-major :class:`TridiagonalBatch`."""
         return TridiagonalBatch(
@@ -183,13 +160,3 @@ class BatchedTridiagonal:
             f"BatchedTridiagonal(m={self.num_systems}, n={self.system_size}, "
             f"dtype={self.dtype}, layout=interleaved)"
         )
-
-
-def interleave(batch: TridiagonalBatch) -> BatchedTridiagonal:
-    """Functional alias for :meth:`BatchedTridiagonal.interleave`."""
-    return BatchedTridiagonal.interleave(batch)
-
-
-def deinterleave(batched: BatchedTridiagonal) -> TridiagonalBatch:
-    """Functional alias for :meth:`BatchedTridiagonal.deinterleave`."""
-    return batched.deinterleave()

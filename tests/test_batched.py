@@ -1,10 +1,11 @@
 """Tests for the interleaved batch layout and the fused solve path.
 
-The tentpole contract: interleave/deinterleave round-trip bit-exactly,
-the batched kernels reproduce the row-major algorithms bit-for-bit, and
-a fused (BatchedSolve) lowering of any solve plan returns the same
-floats as the unfused staged chain — with execute/price span parity and
-the fault hooks still firing on the fused steps.
+The contract: interleave/deinterleave round-trip bit-exactly, the
+split chain over the interleaved layout reproduces the row-major
+algorithms bit-for-bit, and a fused (BatchedSolve) lowering of any
+solve plan returns the same floats as the unfused staged chain — with
+execute/price span parity and the fault hooks still firing on the fused
+steps.
 """
 
 import numpy as np
@@ -24,17 +25,13 @@ from repro.faults import (
 )
 from repro.gpu import make_device
 from repro.ir import Engine
-from repro.kernels import (
-    batched_pcr_solve,
-    batched_pcr_thomas_sweep,
-    batched_thomas_sweep,
-    dtype_size,
-)
+from repro.kernels import SplitChain, dtype_size
 from repro.obs import Tracer
 from repro.service import BatchSolveService
-from repro.systems import BatchedTridiagonal, deinterleave, generators, interleave
+from repro.systems import BatchedTridiagonal, generators
 from repro.systems.tridiagonal import TridiagonalBatch
-from repro.util.errors import ConfigurationError, ShapeError
+from repro.util.errors import ConfigurationError
+from repro.util.validation import ilog2
 
 pytestmark = pytest.mark.fusion
 
@@ -70,49 +67,15 @@ class TestInterleaveRoundTrip:
         batch = generators.random_dominant(
             m, n, rng=m * 1009 + n, dtype=dtype
         )
-        soa = interleave(batch)
+        soa = BatchedTridiagonal.interleave(batch)
         assert soa.shape == (m, n)
         assert soa.layout_shape == (n, m)
-        back = deinterleave(soa)
+        back = soa.deinterleave()
         for name in ("a", "b", "c", "d"):
             np.testing.assert_array_equal(
                 getattr(back, name), getattr(batch, name)
             )
             assert getattr(back, name).dtype == dtype
-
-    @settings(max_examples=20, deadline=None)
-    @given(
-        counts=st.lists(
-            st.integers(min_value=1, max_value=7), min_size=1, max_size=5
-        ),
-        n=st.integers(min_value=2, max_value=64),
-    )
-    def test_ragged_interleave_all_concatenates_in_order(self, counts, n):
-        batches = [
-            generators.random_dominant(m, n, rng=i * 31 + m)
-            for i, m in enumerate(counts)
-        ]
-        soa = BatchedTridiagonal.interleave_all(batches)
-        assert soa.num_systems == sum(counts)
-        merged = soa.deinterleave()
-        offset = 0
-        for batch in batches:
-            for name in ("a", "b", "c", "d"):
-                np.testing.assert_array_equal(
-                    getattr(merged, name)[
-                        offset : offset + batch.num_systems
-                    ],
-                    getattr(batch, name),
-                )
-            offset += batch.num_systems
-
-    def test_interleave_all_rejects_mixed_sizes_and_empty(self):
-        a = generators.random_dominant(2, 64, rng=0)
-        b = generators.random_dominant(2, 128, rng=1)
-        with pytest.raises(ShapeError):
-            BatchedTridiagonal.interleave_all([a, b])
-        with pytest.raises(ShapeError):
-            BatchedTridiagonal.interleave_all([])
 
     def test_corner_convention_enforced(self):
         n, m = 4, 3
@@ -133,25 +96,25 @@ class TestBatchedKernelParity:
     def test_thomas_sweep_bit_identical(self, dtype, m, n):
         batch = generators.random_dominant(m, n, rng=5, dtype=dtype)
         x_rows = thomas_solve(batch)
-        x_soa = batched_thomas_sweep(interleave(batch))
+        x_soa = SplitChain.of(BatchedTridiagonal.interleave(batch)).thomas()
         np.testing.assert_array_equal(x_rows, np.ascontiguousarray(x_soa.T))
 
     @pytest.mark.parametrize("m,n", [(3, 64), (16, 256)])
     def test_pcr_bit_identical(self, m, n):
         batch = generators.random_dominant(m, n, rng=6)
+        chain = SplitChain.of(BatchedTridiagonal.interleave(batch))
+        chain.split(ilog2(n))
         np.testing.assert_array_equal(
-            pcr_solve(batch),
-            np.ascontiguousarray(batched_pcr_solve(interleave(batch)).T),
+            pcr_solve(batch), np.ascontiguousarray(chain.solve(1).T)
         )
 
     @pytest.mark.parametrize("switch", [8, 64])
     def test_pcr_thomas_bit_identical(self, switch):
         batch = generators.random_dominant(9, 512, rng=7)
+        chain = SplitChain.of(BatchedTridiagonal.interleave(batch))
         np.testing.assert_array_equal(
             pcr_thomas_solve(batch, switch),
-            np.ascontiguousarray(
-                batched_pcr_thomas_sweep(interleave(batch), switch).T
-            ),
+            np.ascontiguousarray(chain.solve(switch).T),
         )
 
 

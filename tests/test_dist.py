@@ -231,6 +231,14 @@ class TestDistPlan:
         with pytest.raises(ConfigurationError):
             DistributedSolver(4, mode="batch").price(4, 1 << 20, 8)
 
+    def test_batch_mode_names_its_device_count_constraint(self):
+        with pytest.raises(
+            ConfigurationError,
+            match=r"batch mode needs at least one system per device "
+            r"\(3 systems, 8 devices\)",
+        ):
+            DistributedSolver(8, mode="batch").price(3, 1024, 8)
+
 
 def shrunken_device(mem_bytes=2_000_000):
     spec = get_device_spec("gtx470").with_overrides(global_mem_bytes=mem_bytes)

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from repro.dist import DistributedSolver, make_device_group, render_overlap_gantt
 from repro.ir import Engine, Program, Step, run_default_passes
-from repro.ir.instructions import Barrier, ReducedSolve, Reconstruct, Transfer
+from repro.ir.instructions import ReducedSolve, Reconstruct, Transfer, Unpad
 from repro.ir.passes import infer_dependencies
 from repro.kernels import dtype_size
 from repro.obs import Tracer
@@ -162,9 +162,9 @@ def _random_program(draw) -> Program:
         elif kind == "marker":
             steps.append(
                 Step(
-                    op=Barrier(),
+                    op=Unpad(),
                     device=device,
-                    stage=f"barrier{i}",
+                    stage=f"marker{i}",
                     shape=(1, 4096),
                     deps=deps,
                 )

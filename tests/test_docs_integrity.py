@@ -1,6 +1,6 @@
 """Docs-integrity gate: the documentation may not drift from the repo.
 
-Three invariants over ``docs/*.md`` plus the README, all cheap enough
+Four invariants over ``docs/*.md`` plus the README, all cheap enough
 for the fast tier:
 
 - every **relative link** resolves to a real file (anchors stripped;
@@ -9,13 +9,16 @@ for the fast tier:
   ``benchmarks/results/`` exists on disk,
 - every **CLI flag** the docs document (``--something`` outside code
   that belongs to other tools) is accepted by ``repro`` — it appears in
-  the top-level or some subcommand's ``--help`` text.
+  the top-level or some subcommand's ``--help`` text,
+- every backticked dotted **``repro.…`` name** resolves by import and
+  ``getattr``, so the docs never name removed API.
 
 Executable python fences are covered separately by
 ``test_docs_snippets.py``; this gate is about references, not code.
 """
 
 import contextlib
+import importlib
 import io
 import re
 from pathlib import Path
@@ -30,6 +33,9 @@ DOC_FILES = sorted(REPO.glob("docs/*.md")) + [REPO / "README.md"]
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _RESULT = re.compile(r"benchmarks/results/[\w][\w.-]*")
 _FLAG = re.compile(r"(?<![\w-])(--[a-z][a-z0-9-]+)")
+_FENCE = re.compile(r"```.*?```", re.S)
+_CODE_SPAN = re.compile(r"`([^`\n]+)`")
+_REPRO_NAME = re.compile(r"(?<![\w.])repro(?:\.[A-Za-z_]\w*)+")
 
 # Lines invoking other tools (pip, pytest, the benchmark scripts run as
 # plain python programs) carry those tools' flags, not ours.
@@ -113,4 +119,34 @@ def test_documented_cli_flags_exist(doc, cli_help_text):
     assert not unknown, (
         f"{doc.name}: documents flags the repro CLI does not accept "
         f"{unknown}"
+    )
+
+
+def _resolve(dotted):
+    """Import ``dotted`` as far as it names modules, then ``getattr``."""
+    parts = dotted.split(".")
+    obj = importlib.import_module(parts[0])
+    for i, part in enumerate(parts[1:], start=1):
+        if not hasattr(obj, part):
+            importlib.import_module(".".join(parts[: i + 1]))
+        obj = getattr(obj, part)
+    return obj
+
+
+@pytest.mark.parametrize("doc", DOC_FILES, ids=_doc_ids())
+def test_documented_repro_names_resolve(doc):
+    text = _FENCE.sub("", doc.read_text())
+    names = {
+        name
+        for span in _CODE_SPAN.findall(text)
+        for name in _REPRO_NAME.findall(span)
+    }
+    unresolved = []
+    for name in sorted(names):
+        try:
+            _resolve(name)
+        except (ImportError, AttributeError):
+            unresolved.append(name)
+    assert not unresolved, (
+        f"{doc.name}: names that do not resolve {unresolved}"
     )

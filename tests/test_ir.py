@@ -6,6 +6,8 @@ program, and interpreting that program with data (execute) or without
 bit-identical to the pre-IR kernel sequence.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,9 +33,9 @@ from repro.ir import (
     Step,
     Transfer,
     Unpad,
-    Unsplit,
     concat_solve_programs,
     fuse_batched,
+    instructions,
     lower_solve_plan,
     run_default_passes,
     signature_text,
@@ -92,14 +94,12 @@ class TestGoldenPrograms:
             ("Pad", 2048, (2048, 2048)),
             ("SplitBlock", 1, 1, (2048, 2048)),
             ("OnChipSolve", 64, "coalesced", 2, (4096, 1024)),
-            ("Unsplit", 1, (2048, 2048)),
             ("Unpad", (2048, 2048)),
         ],
         "4Kx4K": [
             ("Pad", 4096, (4096, 4096)),
             ("SplitBlock", 2, 1, (4096, 4096)),
             ("OnChipSolve", 64, "coalesced", 4, (16384, 1024)),
-            ("Unsplit", 2, (4096, 4096)),
             ("Unpad", (4096, 4096)),
         ],
         "1x2M": [
@@ -107,8 +107,6 @@ class TestGoldenPrograms:
             ("SplitCoop", 5, (1, 2097152)),
             ("SplitBlock", 6, 32, (32, 65536)),
             ("OnChipSolve", 64, "coalesced", 2048, (2048, 1024)),
-            ("Unsplit", 6, (1, 2097152)),
-            ("Unsplit", 5, (1, 2097152)),
             ("Unpad", (1, 2097152)),
         ],
     }
@@ -245,7 +243,6 @@ class TestPasses:
         ops = {type(s.op).__name__ for s in program.steps}
         assert "SplitCoop" not in ops
         assert "SplitBlock" not in ops
-        assert "Unsplit" not in ops
 
     def test_validation_rejects_transfer_in_solve(self):
         program = Program(
@@ -644,5 +641,35 @@ class TestSessionSnapshot:
 
 def test_ir_reexports_cover_opcodes():
     # The package namespace is the documented API surface.
-    for symbol in (Pad, Unpad, SplitCoop, SplitBlock, OnChipSolve, Unsplit):
+    for symbol in (Pad, Unpad, SplitCoop, SplitBlock, OnChipSolve):
         assert symbol.__module__ == "repro.ir.instructions"
+
+
+def test_every_exported_opcode_is_lowered():
+    # An opcode no lowering emits is dead API: the engine, the handlers
+    # and the passes would carry a branch that only tests reach.
+    opcodes = {
+        obj
+        for obj in (getattr(instructions, name) for name in instructions.__all__)
+        if dataclasses.is_dataclass(obj) and obj not in (Step, Program)
+    }
+    device = make_device("gtx470")
+    programs = []
+    for workload in paper_workloads():
+        m, n = workload.shape
+        plan = plan_solve(device, m, n, 8, _static_switch(device, m, n, 8))
+        programs += [
+            lower_solve_plan(plan, device, 8, fuse=fuse) for fuse in (False, True)
+        ]
+    for mode, schedule, m, n in [
+        ("rows", "fused", 1, 1 << 20),
+        ("rows", "split", 1, 1 << 20),
+        ("batch", "auto", 64, 1024),
+        ("approx", "auto", 1, 1 << 20),
+        ("pipelined", "auto", 1, 1 << 20),
+    ]:
+        solver = DistributedSolver(4, "static", mode=mode, schedule=schedule)
+        plan, _ = solver.price(m, n, 8)
+        programs.append(solver.lower(plan, 8))
+    emitted = {type(step.op) for program in programs for step in program.steps}
+    assert opcodes - emitted == set()

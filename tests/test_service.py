@@ -249,6 +249,17 @@ class TestBatchSolveService:
                 svc.submit(generators.singular(2, 64))
         assert svc.metrics.get("repro_service_invalid_total").total() == 1
 
+    def test_runs_on_one_fleet_that_close_retires(self):
+        before = set(threading.enumerate())
+        svc = BatchSolveService(DEVICE, SWITCH, max_workers=3)
+        assert svc.fleet.size == 3
+        workers = [t for t in threading.enumerate() if t not in before]
+        assert len(workers) == 3
+        svc.solve_many([generators.random_dominant(2, 128, rng=0)] * 4)
+        svc.close()
+        assert svc.fleet.size == 0
+        assert not any(t.is_alive() for t in workers)
+
     def test_submit_after_close_raises(self):
         svc = BatchSolveService(DEVICE, SWITCH)
         svc.close()
