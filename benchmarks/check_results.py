@@ -3,20 +3,17 @@
 Run after the benchmark harness (``pytest benchmarks/ --benchmark-only``)
 has rewritten ``benchmarks/results/*.json``::
 
-    python benchmarks/check_results.py [--ref HEAD]
+    python benchmarks/check_results.py
 
-Each JSON file is compared with ``git show <ref>:`` of the same path.
+Each JSON file is compared with ``git show HEAD:`` of the same path.
 Floats must agree to a relative 1e-12; every other leaf (ints, strings,
-booleans, key sets, list lengths) must match exactly. The top-level
-envelope keys ``schema`` and ``benchmark`` are ignored: the harness adds
-them, and a file written by another tool may lack them. Exits non-zero
+booleans, key sets, list lengths) must match exactly. Exits non-zero
 and lists every differing leaf when a result drifted, or when a results
 file exists on only one side.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import pathlib
@@ -27,7 +24,7 @@ from typing import Iterator
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 RESULTS = pathlib.Path("benchmarks") / "results"
 REL_TOL = 1e-12
-ENVELOPE = ("schema", "benchmark")
+REF = "HEAD"
 
 
 def _is_number(value) -> bool:
@@ -59,46 +56,36 @@ def diff(old, new, path: str = "") -> Iterator[str]:
         yield f"{path}: {old!r} -> {new!r}"
 
 
-def committed_names(ref: str) -> set:
+def committed_names() -> set:
     out = subprocess.run(
-        ["git", "ls-tree", "--name-only", f"{ref}:{RESULTS.as_posix()}"],
+        ["git", "ls-tree", "--name-only", f"{REF}:{RESULTS.as_posix()}"],
         cwd=ROOT, check=True, capture_output=True, text=True,
     ).stdout
     return {name for name in out.split() if name.endswith(".json")}
 
 
-def committed(ref: str, name: str):
+def committed(name: str):
     blob = subprocess.run(
-        ["git", "show", f"{ref}:{(RESULTS / name).as_posix()}"],
+        ["git", "show", f"{REF}:{(RESULTS / name).as_posix()}"],
         cwd=ROOT, check=True, capture_output=True, text=True,
     ).stdout
     return json.loads(blob)
 
 
-def strip_envelope(document: dict) -> dict:
-    return {k: v for k, v in document.items() if k not in ENVELOPE}
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--ref", default="HEAD", help="git revision to compare against"
-    )
-    args = parser.parse_args(argv)
-
+def main() -> int:
     on_disk = {p.name for p in (ROOT / RESULTS).glob("*.json")}
-    in_git = committed_names(args.ref)
+    in_git = committed_names()
     problems = [
-        f"{name}: not committed at {args.ref}" for name in sorted(on_disk - in_git)
+        f"{name}: not committed at {REF}" for name in sorted(on_disk - in_git)
     ] + [f"{name}: missing on disk" for name in sorted(in_git - on_disk)]
     for name in sorted(on_disk & in_git):
-        old = strip_envelope(committed(args.ref, name))
-        new = strip_envelope(json.loads((ROOT / RESULTS / name).read_text()))
+        old = committed(name)
+        new = json.loads((ROOT / RESULTS / name).read_text())
         problems += [f"{name}: {line}" for line in diff(old, new)]
     for line in problems:
         print(line)
     print(
-        f"checked {len(on_disk & in_git)} results files against {args.ref}: "
+        f"checked {len(on_disk & in_git)} results files against {REF}: "
         + ("unchanged" if not problems else f"{len(problems)} differences")
     )
     return 1 if problems else 0

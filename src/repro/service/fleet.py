@@ -29,15 +29,15 @@ from ..util.errors import ConfigurationError
 __all__ = ["ScalableWorkerFleet"]
 
 _POISON = object()
+_THREAD_PREFIX = "repro-solve"
 
 
 class ScalableWorkerFleet:
     """Thread fleet with runtime :meth:`resize`; executor-compatible."""
 
-    def __init__(self, workers: int = 4, *, name: str = "repro-serve"):
+    def __init__(self, workers: int = 4):
         if workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
-        self._name = name
         self._work: "queue.SimpleQueue" = queue.SimpleQueue()
         self._lock = threading.Lock()
         self._threads: "list[threading.Thread]" = []
@@ -81,7 +81,7 @@ class ScalableWorkerFleet:
                 self._spawned += 1
                 thread = threading.Thread(
                     target=self._run,
-                    name=f"{self._name}-{self._spawned}",
+                    name=f"{_THREAD_PREFIX}-{self._spawned}",
                     daemon=True,
                 )
                 self._threads.append(thread)

@@ -193,7 +193,6 @@ class BatchSolveService:
         self._queue: BoundedRequestQueue[ServiceRequest] = BoundedRequestQueue(
             max_pending=max_pending, policy=overflow
         )
-        self.fleet = ScalableWorkerFleet(max_workers, name="repro-solve")
         self._lock = threading.Lock()
         self._seq = 0
         self._devices: Dict[str, Device] = {}
@@ -234,6 +233,8 @@ class BatchSolveService:
         from ..numerics import Governor
 
         self.governor = Governor(metrics=self.metrics, tracer=self.tracer)
+        # Last, so a constructor that raises leaves no live threads.
+        self.fleet = ScalableWorkerFleet(max_workers)
 
     @property
     def dist_solver(self) -> Optional[DistributedSolver]:
