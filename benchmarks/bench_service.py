@@ -12,8 +12,9 @@ Poisson stream through the fixed thread-pool tier and the async tier
 (sharded cache locks, per-tenant admission, autoscaled fleet) via the
 deterministic serving simulation. The acceptance bar: the async tier
 holds p99 where the thread-pool tier saturates into a reject storm.
-Results land in ``benchmarks/results/serve_scaling.json`` (the nightly
-CLI run regenerates the same artefact at 100k requests).
+Results land in ``benchmarks/results/serve_scaling.json``; the nightly
+CLI run writes its 100k-request counterpart to the uncommitted
+``results/serve_scaling_100k.json``.
 """
 
 import numpy as np

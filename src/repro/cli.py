@@ -769,6 +769,7 @@ def _cmd_serve_bench_async(args, out) -> int:
             },
             "tiers": {t: r.as_dict() for t, r in reports.items()},
         }
+        os.makedirs(os.path.dirname(args.json_out) or ".", exist_ok=True)
         with open(args.json_out, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")

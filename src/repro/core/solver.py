@@ -243,13 +243,16 @@ class MultiStageSolver:
     ) -> SolveResult:
         """Run a prepared ``plan`` on ``batch``.
 
-        ``batch`` may hold any number of systems — the staged kernels are
-        vectorised over independent systems, so the per-system arithmetic
-        depends only on the plan's :attr:`~SolvePlan.signature`, not the
-        count. This is the entry point the batched solve service uses to
-        execute one merged solve for many same-signature requests while
-        keeping each request's answer bit-identical to a standalone
-        ``solve``. The padded system size must match the plan's. A
+        ``batch`` must hold the plan's number of systems, and its padded
+        system size must match the plan's; a mismatch raises
+        :class:`~repro.util.errors.PlanError`, since every step is priced
+        from the plan. The staged kernels are vectorised over independent
+        systems, so the per-system arithmetic depends only on the plan's
+        :attr:`~SolvePlan.signature`, not the count: callers widen a plan
+        to a bigger batch with :meth:`SolvePlan.with_num_systems`. This is
+        how the batched solve service executes one merged solve for many
+        same-signature requests while keeping each request's answer
+        bit-identical to a standalone ``solve``. A
         :class:`SharedMatrixBatch` runs as its logical tiled batch (the
         distributed solver's three-RHS chunk solves) with the matrix
         work done once, and returns that batch's ``(r·m, n)`` solution.

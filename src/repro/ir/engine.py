@@ -4,25 +4,28 @@
 in two modes:
 
 - :meth:`Engine.execute` — carries a real
-  :class:`~repro.systems.TridiagonalBatch` through the kernel handlers on
-  a live :class:`~repro.gpu.executor.SimSession`. Single-device
-  (``kind="solve"``) programs only; this is what
+  :class:`~repro.systems.TridiagonalBatch` through the kernel handlers'
+  numerics on a live :class:`~repro.gpu.executor.SimSession`.
+  Single-device (``kind="solve"``) programs only; this is what
   :meth:`MultiStageSolver.execute_plan` runs.
-- :meth:`Engine.price` — data-free. Solve programs submit the handlers'
-  :class:`~repro.gpu.cost.KernelCost` records to a session. Execution
-  and pricing of a solve program run one loop, differing only in the
-  per-step body, so their totals are bit-identical by construction
-  (the *same* records in the same order). Dist programs run an
-  overlap-aware list scheduler: every device exposes independent
-  compute, egress, and ingress lanes (see
-  :attr:`~repro.ir.instructions.Step.resource_keys`), ready steps are
-  placed greedily at their earliest feasible start (ties resolve to
-  program order), and each placement lands as an event on a per-device
-  timeline — the :class:`~repro.dist.pipeline.DistReport` makespan
-  model. A ``Transfer`` claims its source's egress and destination's
-  ingress lanes simultaneously, so a device streams boundary data out
-  while its next solve computes, while messages converging on one
-  endpoint still serialise.
+- :meth:`Engine.price` — data-free.
+
+A solve program runs one loop in both modes: every step submits the
+handlers' :class:`~repro.gpu.cost.KernelCost` records for its shape in
+the program, in execute mode after the step's numerics. A step's price
+is thus a function of the program alone, the two totals are
+bit-identical by construction, and execute rejects a batch whose system
+count or value size is not the program's. Dist programs are priced by
+an overlap-aware list scheduler: every device exposes independent
+compute, egress, and ingress lanes (see
+:attr:`~repro.ir.instructions.Step.resource_keys`), ready steps are
+placed greedily at their earliest feasible start (ties resolve to
+program order), and each placement lands as an event on a per-device
+timeline — the :class:`~repro.dist.pipeline.DistReport` makespan model.
+A ``Transfer`` claims its source's egress and destination's ingress
+lanes simultaneously, so a device streams boundary data out while its
+next solve computes, while messages converging on one endpoint still
+serialise.
 
 Both modes thread a per-instruction :class:`StepTrace` (stage, device,
 span) so every path gets uniform observability from one bookkeeping
@@ -242,15 +245,30 @@ class Engine:
     # -- single-device solve programs --------------------------------------
 
     def execute(self, program: Program, batch) -> EngineRun:
-        """Run ``program`` on real data; single-device programs only."""
+        """Run ``program`` on real data; single-device programs only.
+
+        ``batch`` must match the program's logical system count and value
+        size: every step is priced from the program, so another batch
+        would be solved but priced as the program's.
+        """
         if program.kind != "solve":
             raise PlanError(
                 f"only solve programs execute data; got kind {program.kind!r}"
             )
+        if batch.num_systems != program.num_systems:
+            raise PlanError(
+                f"program is for {program.num_systems} systems, batch has "
+                f"{batch.num_systems}; widen the plan with with_num_systems"
+            )
+        if batch.dtype.itemsize != program.dtype_size:
+            raise PlanError(
+                f"program is for {program.dtype_size}-byte values, batch has "
+                f"{batch.dtype.itemsize}-byte {batch.dtype}"
+            )
         handlers = _handlers()
         state = handlers.ExecState.for_batch(batch)
         run = self._run_solve(
-            program, lambda step, ctx: handlers.execute_step(step, ctx, state)
+            program, lambda step: handlers.execute_step(step, state)
         )
         return replace(run, x=state.x)
 
@@ -258,34 +276,36 @@ class Engine:
         """Price ``program`` without data."""
         if program.kind != "solve":
             return self._price_dist(program)
-        handlers = _handlers()
+        return self._run_solve(program)
 
-        def submit(step: Step, ctx: KernelContext) -> None:
-            for cost in handlers.price_costs(step, ctx, program.dtype_size):
-                ctx.session.submit(cost, stage=step.stage)
-
-        return self._run_solve(program, submit)
-
-    def _run_solve(self, program: Program, body) -> EngineRun:
+    def _run_solve(self, program: Program, numerics=None) -> EngineRun:
         """Interpret a solve program step by step on one live session.
 
-        ``body(step, ctx)`` is the per-step work: the kernel handler in
-        execute mode, the bare cost submissions in price mode. Both
-        modes share everything else (retry budget, fault retries, step
-        trace, spans, abort), so their clocks agree by construction.
+        Every step submits its handlers' cost records for the program's
+        shapes, after ``numerics(step)`` in execute mode. Both modes
+        share everything else (retry budget, fault retries, step trace,
+        spans, abort), so their clocks agree by construction.
         """
+        handlers = _handlers()
         session = self._require_device(0).session()
         ctx = KernelContext(session)
         budget = self._budget()
         tracer = self.tracer
         token = self._begin_program(program, 0.0)
         trace: List[StepTrace] = []
+
+        def body(step: Step) -> None:
+            if numerics is not None:
+                numerics(step)
+            for cost in handlers.price_costs(step, ctx, program.dtype_size):
+                session.submit(cost, stage=step.stage)
+
         try:
             for i, step in enumerate(program.steps):
                 start = session.elapsed_ms
                 mark = session.num_records
                 retries = self._interpret(
-                    program, i, step, budget, lambda step=step: body(step, ctx)
+                    program, i, step, budget, lambda step=step: body(step)
                 )
                 end = session.elapsed_ms
                 trace.append(self._trace(i, step, start, end))

@@ -275,9 +275,10 @@ class Program:
         same per-system instruction sequence, so their batches may be
         merged and solved together with bit-identical per-system results
         — the contract the batched solve service groups by. Step
-        signatures are order-canonicalised (sorted) so count-dependent
-        scheduling order (e.g. the batch-mode gather's completion order)
-        does not leak into the signature.
+        signatures are sorted: a signature names the steps a program
+        runs, not the order they are listed in, since the list scheduler
+        rather than the listing orders a dist program's independent
+        steps.
         """
         return (
             "program",

@@ -18,7 +18,6 @@ from dataclasses import replace
 from typing import List, Tuple
 
 from ..util.validation import next_power_of_two
-from .engine import Engine
 from .instructions import (
     OnChipSolve,
     Pad,
@@ -553,35 +552,55 @@ def _lower_pipelined(plan, group, dtype_size: int) -> Program:
 
 
 def _lower_batch(plan, group, dtype_size: int, *, fuse: bool = False) -> Program:
+    """The batch-mode program: the host scatters whole systems, every
+    device solves its share, and the solutions gather back.
+
+    Both the scatter and the gather have the host at one end, so the lane
+    scheduler serialises the ``recv_coeffs`` transfers on its egress and
+    the ``send_solution`` transfers on its ingress, each gather starting
+    as soon as its share is solved and the ingress is free.
+    """
     shares = plan.chunk_sizes
-    active = len(shares)
     n = plan.system_size
-    names = tuple(group[i].name for i in range(active))
     host = 0
 
     steps: List[Step] = []
+    solved = []
+    for i, share in enumerate(shares):
+        deps: Tuple[int, ...] = ()
+        if i != host:
+            steps.append(
+                Step(
+                    op=Transfer(4.0 * n, host, i),
+                    device=i,
+                    engine="xfer",
+                    stage="recv_coeffs",
+                    shape=(share, n),
+                    deps=(),
+                )
+            )
+            deps = (len(steps) - 1,)
+        solved.append(
+            _local_fragment(steps, plan.local_plans[i], i, "local_solve", deps)
+        )
     for i, share in enumerate(shares):
         if i == host:
-            _local_fragment(steps, plan.local_plans[i], i, "local_solve", ())
             continue
         steps.append(
             Step(
-                op=Transfer(4.0 * n, host, i),
+                op=Transfer(float(n), i, host),
                 device=i,
                 engine="xfer",
-                stage="recv_coeffs",
+                stage="send_solution",
                 shape=(share, n),
-                deps=(),
+                deps=(solved[i],),
             )
         )
-        _local_fragment(
-            steps, plan.local_plans[i], i, "local_solve", (len(steps) - 1,)
-        )
-    prefix = run_default_passes(
+    return run_default_passes(
         Program(
             kind="dist",
             label=group.describe(),
-            device_names=names,
+            device_names=tuple(group[i].name for i in range(len(shares))),
             dtype_size=dtype_size,
             num_systems=plan.num_systems,
             system_size=n,
@@ -591,29 +610,3 @@ def _lower_batch(plan, group, dtype_size: int, *, fuse: bool = False) -> Program
         ),
         fuse=fuse,
     )
-
-    # The gather serialises on the host's ingress link in *completion*
-    # order. Pricing the scatter+compute prefix with the same engine
-    # that will interpret the final program yields exactly the
-    # completion times the schedule will see.
-    run = Engine.for_group(group).price(prefix)
-    last_idx = {}
-    for idx, step in enumerate(prefix.steps):
-        last_idx[step.device] = idx
-    compute_end = {i: run.trace[last_idx[i]].end_ms for i in range(active)}
-
-    final = list(prefix.steps)
-    for i in sorted(range(active), key=lambda j: compute_end[j]):
-        if i == host:
-            continue
-        final.append(
-            Step(
-                op=Transfer(float(n), i, host),
-                device=i,
-                engine="xfer",
-                stage="send_solution",
-                shape=(shares[i], n),
-                deps=(last_idx[i],),
-            )
-        )
-    return run_default_passes(replace(prefix, steps=tuple(final)))

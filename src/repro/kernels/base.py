@@ -1,14 +1,18 @@
 """Shared kernel infrastructure and instruction-cost constants.
 
-Each kernel in this package does two things at once:
-
-1. **Numerics** — computes the exact result with the vectorised NumPy
-   algorithms from :mod:`repro.algorithms` (bit-for-bit what the GPU
-   kernel would produce, modulo float ordering);
-2. **Cost accounting** — submits a :class:`repro.gpu.cost.KernelCost` to
-   the active :class:`repro.gpu.executor.SimSession` describing the
-   launch configuration, per-phase instruction counts and global traffic
-   of the equivalent CUDA kernel.
+Each kernel in this package is first a cost model: its ``cost`` method
+builds the :class:`repro.gpu.cost.KernelCost` — launch configuration,
+per-phase instruction counts and global traffic of the equivalent CUDA
+kernel — that :func:`repro.kernels.handlers.price_costs` submits for an
+IR step to the active :class:`repro.gpu.executor.SimSession`. The
+numerics of every IR solve step run apart from it, on
+:class:`repro.kernels.chain.SplitChain`, so a step's price depends on
+the program alone. The kernels the baselines launch directly
+(:class:`~repro.kernels.global_pcr.GlobalPcrKernel`,
+:class:`~repro.kernels.thomas_global.ThomasGlobalKernel` and
+:class:`~repro.kernels.elementwise.DivideKernel`) also have a ``run``
+method that computes the result with :mod:`repro.algorithms` and submits
+its own cost.
 
 The instruction constants below are per-equation issue-slot estimates for
 one step of each algorithm (arithmetic plus shared-memory accesses). They

@@ -7,9 +7,9 @@ step is a single NumPy sweep whose GPU equivalent is a fully coalesced
 pass — the layout trick of Gloster et al. (arXiv:1909.04539) and the
 batched-PDE solvers of Carroll et al. (arXiv:2107.05395).
 
-The launchable kernel is :class:`BatchedSweepKernel`, the fused
-multi-stage pipeline (global splits + hybrid smem PCR-Thomas) behind the
-``BatchedSolve`` IR opcode. Its numerics run on
+:class:`BatchedSweepKernel` prices the fused multi-stage pipeline
+(global splits + hybrid smem PCR-Thomas) behind the ``BatchedSolve`` IR
+opcode. The opcode's numerics run on
 :class:`~repro.kernels.chain.SplitChain` over the interleaved ``(n, m)``
 arrays — the one host layout of every single-device solve, which the
 engine's ``Pad`` loads. Because every update is elementwise across the
@@ -24,12 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..algorithms.pcr_thomas import normalize_thomas_switch
 from ..gpu.cost import ComputePhase, KernelCost
 from ..gpu.memory import MemoryTraffic
-from ..systems.batched import BatchedTridiagonal
 from ..util.errors import ConfigurationError, ResourceExhaustedError
 from ..util.validation import check_power_of_two, ilog2
 from .base import (
@@ -39,11 +36,9 @@ from .base import (
     SMEM_LOAD_VALUES_PER_EQ,
     THOMAS_INSTR_PER_ROW,
     KernelContext,
-    dtype_size,
     warp_padded_threads,
     warps_for,
 )
-from .chain import SplitChain
 
 __all__ = ["BatchedSweepKernel"]
 
@@ -165,27 +160,3 @@ class BatchedSweepKernel:
             launches=1 + k,
             coalescing=spec.interleaved_coalescing_gain,
         )
-
-    def run(
-        self,
-        ctx: KernelContext,
-        batched: BatchedTridiagonal,
-        *,
-        check: bool = True,
-        stage: str = "fused_sweep",
-        owned: bool = False,
-    ) -> np.ndarray:
-        """Run the fused sweep; returns the interleaved ``(n, m)`` solution
-        (``(r, n, m)`` for ``r`` right-hand-side planes), priced for the
-        logical batch. ``owned`` is as in :meth:`SplitChain.of`."""
-        cost = self.cost(
-            ctx,
-            batched.num_systems,
-            batched.system_size,
-            dtype_size(batched.dtype),
-        )
-        ctx.session.submit(cost, stage=stage)
-        chain = SplitChain.of(batched, owned=owned)
-        chain.split(self.stage1_steps)
-        chain.split(self.stage2_steps)
-        return chain.solve(self.thomas_switch, check=check)

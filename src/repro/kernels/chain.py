@@ -2,16 +2,19 @@
 
 On the GPU, stage 3 reads split subsystems *in place at a stride* (paper
 §III-A, the strided and coalesced variants); nothing reorders them. The
-gathered reference (:func:`repro.algorithms.pcr.pcr_split` and the
-kernels' ``run`` methods) instead copies every split into contiguous
-subsystems and scatters the solution back. :class:`SplitChain` runs the
-split chain the GPU's way on the systems-innermost
-:class:`~repro.systems.batched.BatchedTridiagonal` layout: the four
-coefficient arrays stay ``(n, m)`` in the original equation order, a
-split of ``k`` steps runs PCR at strides ``G, 2G, ..., 2^(k-1)·G``
-(``G`` subsystems per system so far), and the Thomas sweep reads the
-``(n/G, G·m)`` view, so no gather or scatter ever runs and every NumPy
-pass is contiguous across the systems.
+gathered reference in :mod:`repro.algorithms`
+(:func:`~repro.algorithms.pcr.pcr_split`,
+:func:`~repro.algorithms.pcr_thomas.pcr_thomas_solve`,
+:func:`~repro.algorithms.pcr.pcr_unsplit_solution`) instead copies every
+split into contiguous subsystems and scatters the solution back; the
+differential oracle in ``tests/test_oracle.py`` holds every execution
+path to it. :class:`SplitChain` runs the split chain the GPU's way on
+the systems-innermost :class:`~repro.systems.batched.BatchedTridiagonal`
+layout: the four coefficient arrays stay ``(n, m)`` in the original
+equation order, a split of ``k`` steps runs PCR at strides
+``G, 2G, ..., 2^(k-1)·G`` (``G`` subsystems per system so far), and the
+Thomas sweep reads the ``(n/G, G·m)`` view, so no gather or scatter ever
+runs and every NumPy pass is contiguous across the systems.
 
 Running subsystems in place at stride ``s·G`` is the same arithmetic as
 running them after a gather at stride ``s``, and a neighbour outside a
@@ -44,7 +47,7 @@ them.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -94,12 +97,6 @@ class SplitChain:
                 " (load a row-major batch with BatchedTridiagonal.interleave)"
             )
         return cls((work.a, work.b, work.c, work.d), owned)
-
-    @property
-    def shape(self) -> Tuple[int, int]:
-        """Logical ``(num_systems, system_size)`` of the current subsystems,
-        every plane's systems counted."""
-        return (self.planes * self.m * self.groups, self.n // self.groups)
 
     def _buffers(self, count: int) -> List[np.ndarray]:
         return [np.empty((self.n, self.m), dtype=self.dtype) for _ in range(count)]

@@ -16,18 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..algorithms.pcr import pcr_split
 from ..gpu.cost import ComputePhase, KernelCost
 from ..gpu.memory import MemoryTraffic
-from ..systems.tridiagonal import TridiagonalBatch
-from ..util.errors import ConfigurationError
-from ..util.validation import check_power_of_two, ilog2
 from .base import (
     GLOBAL_PCR_ALIGNED_VALUES_PER_EQ,
     GLOBAL_PCR_INSTR_PER_EQ,
     GLOBAL_PCR_NEIGHBOR_VALUES_PER_EQ,
     KernelContext,
-    dtype_size,
     warps_for,
 )
 
@@ -36,7 +31,7 @@ __all__ = ["CoopPcrKernel"]
 
 @dataclass(frozen=True)
 class CoopPcrKernel:
-    """Launchable stage-1 cooperative splitter."""
+    """Cost model of the stage-1 cooperative splitter."""
 
     threads_per_block: int = 256
     regs_per_thread: int = 24
@@ -94,37 +89,3 @@ class CoopPcrKernel:
                 * partition_camping_factor(spec, stride)
             ),
         )
-
-    def run(
-        self,
-        ctx: KernelContext,
-        batch: TridiagonalBatch,
-        num_splits: int,
-        *,
-        stage: str = "stage1_coop_pcr",
-    ) -> TridiagonalBatch:
-        """Apply ``num_splits`` cooperative split steps to every system.
-
-        Each step is a separate kernel launch (the inter-step dependency
-        forces a grid-wide sync). Returns the split batch with
-        ``m * 2**num_splits`` systems.
-        """
-        if num_splits < 0:
-            raise ConfigurationError("num_splits must be >= 0")
-        if num_splits == 0:
-            return batch
-        n = batch.system_size
-        check_power_of_two(n, "system_size")
-        if num_splits > ilog2(n):
-            raise ConfigurationError(
-                f"cannot split a size-{n} system {num_splits} times"
-            )
-        dsize = dtype_size(batch.dtype)
-        stride = 1
-        for _ in range(num_splits):
-            cost = self.cost_per_step(
-                ctx, batch.total_equations, dsize, stride=stride
-            )
-            ctx.session.submit(cost, stage=stage)
-            stride *= 2
-        return pcr_split(batch, num_splits)

@@ -82,7 +82,9 @@ class ReconstructKernel:
 
 @dataclass(frozen=True)
 class TransposeKernel:
-    """Layout conversion pass over an ``(m, n)`` array."""
+    """Layout conversion pass over an ``(m, n)`` array, tiled through
+    shared memory so both global sides stream at unit stride (the
+    batched ``Interleave`` opcode)."""
 
     threads_per_block: int = 256
 
@@ -93,58 +95,20 @@ class TransposeKernel:
         dsize: int,
         *,
         arrays: int = 1,
-        tiled: bool = False,
     ) -> KernelCost:
-        """Price transposing ``arrays`` arrays of ``elements`` each.
-
-        The naive pass reads coalesced and writes fully strided
-        (``tiled=False``, matching :meth:`run`); the shared-memory tiled
-        variant stages tiles on-chip so both global sides stream at unit
-        stride (``tiled=True`` — what the batched ``Interleave`` opcode
-        uses).
-        """
+        """Price transposing ``arrays`` arrays of ``elements`` each."""
         spec = ctx.spec
         total = float(elements) * arrays
         traffic = MemoryTraffic()
-        traffic.add(spec, total * dsize, stride=1)
-        write_stride = 1 if tiled else int(spec.uncoalesced_penalty_cap)
-        traffic.add(spec, total * dsize, stride=max(1, write_stride))
+        traffic.add(spec, 2.0 * total * dsize, stride=1)  # read + write
         threads = min(self.threads_per_block, spec.max_threads_per_block)
         grid = max(1, -(-int(total) // threads))
         return KernelCost(
-            name="transpose[tiled]" if tiled else "transpose",
+            name="transpose[tiled]",
             grid_blocks=min(grid, spec.max_grid_blocks),
             threads_per_block=threads,
-            smem_per_block=(threads * dsize if tiled else 0),
+            smem_per_block=threads * dsize,
             regs_per_thread=8,
             phases=[ComputePhase(warps_for(int(total)) * 2.0)],
             traffic=traffic,
         )
-
-    def run(
-        self,
-        ctx: KernelContext,
-        array: np.ndarray,
-        *,
-        stage: str = "transpose",
-    ) -> np.ndarray:
-        """Record a read+write pass and return the transposed array."""
-        spec = ctx.spec
-        dsize = dtype_size(array.dtype)
-        total = array.size
-        traffic = MemoryTraffic()
-        traffic.add(spec, float(total) * dsize, stride=1)  # coalesced read
-        # The write side of a transpose is strided by the row length.
-        stride = array.shape[-1] if array.ndim > 1 else 1
-        traffic.add(spec, float(total) * dsize, stride=max(1, stride))
-        grid = max(1, -(-total // self.threads_per_block))
-        cost = KernelCost(
-            name="transpose",
-            grid_blocks=min(grid, spec.max_grid_blocks),
-            threads_per_block=min(self.threads_per_block, spec.max_threads_per_block),
-            regs_per_thread=8,
-            phases=[ComputePhase(warps_for(total) * 2.0)],
-            traffic=traffic,
-        )
-        ctx.session.submit(cost, stage=stage)
-        return np.ascontiguousarray(array.T)

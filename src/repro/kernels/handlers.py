@@ -1,15 +1,14 @@
 """Per-opcode kernel handlers for the instruction-program engine.
 
-Each IR opcode maps to two interpretations, both defined here so a
-kernel's price and its execution can never drift apart:
+Each IR opcode maps to two interpretations, both defined here:
 
-- :func:`price_costs` — the data-free view: the exact
-  :class:`~repro.gpu.cost.KernelCost` records a step submits, in
-  submission order. The engine folds them into step durations (price
-  mode) or hands them to a session (solve pricing).
-- :func:`execute_step` — the data-carrying view: run the kernel's
-  numerics on an :class:`ExecState`, submitting the *same* cost records,
-  built for the logical shape of the data it carries.
+- :func:`price_costs` — the exact :class:`~repro.gpu.cost.KernelCost`
+  records a step submits, in submission order, built from the step's
+  shape in the program. The engine submits them in *both* modes, so a
+  step's price is a function of the program alone and executing a
+  program can never price differently from pricing it.
+- :func:`execute_step` — the numerics: run the step on an
+  :class:`ExecState`. It prices nothing.
 
 The marker opcodes ``Pad`` and ``Unpad`` cost nothing. Execute mode
 keeps one host layout, the systems-innermost ``(n, m)``
@@ -17,11 +16,11 @@ keeps one host layout, the systems-innermost ``(n, m)``
 batch into it once and ``Unpad`` unloads the row-major solution once.
 Every solve opcode runs :class:`~repro.kernels.chain.SplitChain` on that
 view in the original equation order, so no step un-scatters a split
-and ``Interleave`` submits its priced transpose but moves no data:
-fused and unfused programs run the same host numerics. A
+and ``Interleave``, priced as a tiled transpose, moves no data: fused
+and unfused programs run the same host numerics. A
 :class:`~repro.systems.tridiagonal.SharedMatrixBatch` loads its matrix
-once and its ``r`` right-hand sides as ``(r, n, m)`` planes, and is
-priced as the logical ``r·m``-system batch it stands for.
+once and its ``r`` right-hand sides as ``(r, n, m)`` planes; its program
+is the one for the logical ``r·m``-system batch it stands for.
 """
 
 from __future__ import annotations
@@ -62,26 +61,20 @@ __all__ = ["ExecState", "price_costs", "execute_step"]
 
 
 def price_costs(step: Step, ctx: KernelContext, dtype_size: int) -> List:
-    """The kernel cost records ``step`` submits, in submission order.
+    """The kernel cost records ``step`` submits, in submission order, for
+    its ``m`` logical systems of size ``n`` (``step.shape``).
 
     Markers and ``Transfer`` (priced by the engine itself) return an
     empty list.
     """
-    return _costs(step.op, ctx, *step.shape, dtype_size)
-
-
-def _costs(op, ctx: KernelContext, m: int, n: int, dtype_size: int) -> List:
-    """The cost records of ``op`` on ``m`` logical systems of size ``n``."""
+    op = step.op
+    m, n = step.shape
     if isinstance(op, SplitCoop):
         coop = CoopPcrKernel()
-        costs = []
-        stride = 1
-        for _ in range(op.steps):
-            costs.append(
-                coop.cost_per_step(ctx, m * n, dtype_size, stride=stride)
-            )
-            stride *= 2
-        return costs
+        return [
+            coop.cost_per_step(ctx, m * n, dtype_size, stride=1 << j)
+            for j in range(op.steps)
+        ]
     if isinstance(op, SplitBlock):
         return [
             GlobalPcrKernel().cost(
@@ -94,13 +87,9 @@ def _costs(op, ctx: KernelContext, m: int, n: int, dtype_size: int) -> List:
         )
         return [kernel.cost(ctx, m, n, dtype_size, op.stride)]
     if isinstance(op, Interleave):
-        # Tiled transpose: four coefficient arrays in, one solution out.
+        # Four coefficient arrays in, one solution out.
         arrays = 4 if op.direction == "in" else 1
-        return [
-            TransposeKernel().cost(
-                ctx, m * n, dtype_size, arrays=arrays, tiled=True
-            )
-        ]
+        return [TransposeKernel().cost(ctx, m * n, dtype_size, arrays=arrays)]
     if isinstance(op, BatchedSolve):
         kernel = BatchedSweepKernel(
             stage1_steps=op.stage1_steps,
@@ -166,8 +155,8 @@ def _load(
     return BatchedTridiagonal(*loaded), True
 
 
-def execute_step(step: Step, ctx: KernelContext, state: ExecState) -> None:
-    """Run one step's numerics (and cost submissions) on ``state``."""
+def execute_step(step: Step, state: ExecState) -> None:
+    """Run one step's numerics on ``state``."""
     op = step.op
     if isinstance(op, Pad):
         n = state.work.system_size
@@ -179,36 +168,21 @@ def execute_step(step: Step, ctx: KernelContext, state: ExecState) -> None:
         state.work, state.owned = _load(state.work, op.padded_size)
         state.original_n = n
         return
-    if isinstance(op, (SplitCoop, SplitBlock, OnChipSolve)):
+    if isinstance(op, (SplitCoop, SplitBlock, OnChipSolve, BatchedSolve)):
         if state.chain is None:
             state.chain = SplitChain.of(state.work, owned=state.owned)
         chain = state.chain
-        # Priced on the logical (m·G, n/G) subsystems, as the gathered
-        # kernels price themselves; a split is checked before it prices.
-        m, n = chain.shape
-        if not isinstance(op, OnChipSolve):
+        if isinstance(op, (SplitCoop, SplitBlock)):
             chain.split(op.steps)
-        for cost in _costs(op, ctx, m, n, chain.dtype.itemsize):
-            ctx.session.submit(cost, stage=step.stage)
-        if isinstance(op, OnChipSolve):
-            # Free the step buffers before Unpad copies the answer out.
-            state.x, state.chain = chain.solve(op.thomas_switch), None
+            return
+        if isinstance(op, BatchedSolve):
+            chain.split(op.stage1_steps)
+            chain.split(op.stage2_steps)
+        # Free the step buffers before Unpad copies the answer out.
+        state.x, state.chain = chain.solve(op.thomas_switch), None
         return
     if isinstance(op, Interleave):
-        # Priced only: Pad already loaded the interleaved layout.
-        for cost in _costs(op, ctx, *step.shape, state.work.dtype.itemsize):
-            ctx.session.submit(cost, stage=step.stage)
-        return
-    if isinstance(op, BatchedSolve):
-        kernel = BatchedSweepKernel(
-            stage1_steps=op.stage1_steps,
-            stage2_steps=op.stage2_steps,
-            thomas_switch=op.thomas_switch,
-        )
-        state.x = kernel.run(
-            ctx, state.work, owned=state.owned, stage=step.stage
-        )
-        return
+        return  # Pad already loaded the interleaved layout.
     if isinstance(op, Unpad):
         n = state.original_n
         x = np.ascontiguousarray(np.swapaxes(state.x[..., :n, :], -1, -2))

@@ -24,12 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from ..algorithms.pcr_thomas import normalize_thomas_switch, pcr_thomas_solve
+from ..algorithms.pcr_thomas import normalize_thomas_switch
 from ..gpu.cost import ComputePhase, KernelCost
 from ..gpu.memory import MemoryTraffic
-from ..systems.tridiagonal import TridiagonalBatch
 from ..util.errors import ConfigurationError, ResourceExhaustedError
 from ..util.validation import check_power_of_two, ilog2
 from .base import (
@@ -37,7 +34,6 @@ from .base import (
     SMEM_LOAD_VALUES_PER_EQ,
     THOMAS_INSTR_PER_ROW,
     KernelContext,
-    dtype_size,
     warp_padded_threads,
     warps_for,
 )
@@ -49,7 +45,7 @@ VARIANTS = ("coalesced", "strided")
 
 @dataclass(frozen=True)
 class PcrThomasSmemKernel:
-    """Launchable base kernel.
+    """Cost model of the base kernel.
 
     Parameters
     ----------
@@ -70,8 +66,6 @@ class PcrThomasSmemKernel:
             )
         check_power_of_two(self.thomas_switch, "thomas_switch")
 
-    # -- cost accounting ----------------------------------------------------
-
     def cost(
         self,
         ctx: KernelContext,
@@ -80,11 +74,12 @@ class PcrThomasSmemKernel:
         dsize: int,
         stride: int,
     ) -> KernelCost:
-        """Build the :class:`KernelCost` for this launch without running it.
+        """Build the :class:`KernelCost` for one launch over
+        ``num_systems`` (sub)systems interleaved at ``stride``.
 
-        Exposed separately so the self-tuner's micro-benchmarks can price
-        configurations cheaply (the paper's tuner times real launches; ours
-        prices model launches — same search logic, cheaper stopwatch).
+        The self-tuner's micro-benchmarks price configurations with it
+        (the paper's tuner times real launches; ours prices model
+        launches — same search logic, cheaper stopwatch).
         """
         spec = ctx.spec
         n = system_size
@@ -149,28 +144,3 @@ class PcrThomasSmemKernel:
             phases=phases,
             traffic=traffic,
         )
-
-    # -- execution ------------------------------------------------------------
-
-    def run(
-        self,
-        ctx: KernelContext,
-        batch: TridiagonalBatch,
-        *,
-        stride: int = 1,
-        stage: str = "stage3_pcr_thomas",
-    ) -> np.ndarray:
-        """Solve ``batch`` on-chip, recording the launch in the session.
-
-        ``stride`` is the interleaving distance of these (sub)systems in
-        global memory (1 for naturally contiguous systems).
-        """
-        cost = self.cost(
-            ctx,
-            batch.num_systems,
-            batch.system_size,
-            dtype_size(batch.dtype),
-            stride,
-        )
-        ctx.session.submit(cost, stage=stage)
-        return pcr_thomas_solve(batch, self.thomas_switch)

@@ -228,9 +228,8 @@ class TestListScheduler:
                 assert s1 >= e0
 
     def test_trace_is_in_program_order(self):
-        # _lower_batch indexes the trace positionally; the scheduler
-        # must report spans by program index even though it may run
-        # steps out of listed order.
+        # The trace lists steps by program index, although the scheduler
+        # may run them out of listed order.
         group = make_device_group("gtx470", 2, "pcie3", "all_to_all")
         program = Program(
             kind="dist",

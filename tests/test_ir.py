@@ -3,18 +3,15 @@
 The contract under test is the tentpole invariant: a plan lowers to ONE
 program, and interpreting that program with data (execute) or without
 (price) gives identical timing — while execution's numerics stay
-bit-identical to the pre-IR kernel sequence.
+bit-identical to the staged sequence of the differential oracle's
+reference (``tests/test_oracle.py``).
 """
 
 import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.algorithms.padding import pad_pow2, unpad_solution
-from repro.algorithms.pcr import pcr_unsplit_solution
 from repro.core import MultiStageSolver, SwitchPoints, simulate_plan
 from repro.core.planner import plan_solve
 from repro.core.tuning import TuningCache, make_tuner
@@ -40,44 +37,14 @@ from repro.ir import (
     run_default_passes,
     signature_text,
 )
-from repro.kernels import (
-    CoopPcrKernel,
-    GlobalPcrKernel,
-    KernelContext,
-    PcrThomasSmemKernel,
-    dtype_size,
-)
+from repro.kernels import KernelContext, dtype_size
 from repro.systems import generators, paper_workloads
 from repro.util.errors import PlanError
+from tests.test_oracle import reference_solve
 
 
 def _static_switch(device, m, n, dsize):
     return make_tuner("static").switch_points(device, m, n, dsize)
-
-
-def _reference_solve(device, batch, plan):
-    """The pre-IR kernel sequence, inlined verbatim from the old solver."""
-    padded, original_n = pad_pow2(batch)
-    session = device.session()
-    ctx = KernelContext(session)
-    work = padded
-    if plan.uses_stage1:
-        work = CoopPcrKernel().run(ctx, work, plan.stage1_steps)
-    if plan.uses_stage2:
-        work = GlobalPcrKernel().run(
-            ctx,
-            work,
-            plan.stage3_system_size,
-            start_stride=1 << plan.stage1_steps,
-        )
-    kernel = PcrThomasSmemKernel(
-        thomas_switch=plan.thomas_switch, variant=plan.variant
-    )
-    x = kernel.run(ctx, work, stride=plan.stride)
-    x = pcr_unsplit_solution(x, plan.stage2_steps)
-    x = pcr_unsplit_solution(x, plan.stage1_steps)
-    x = unpad_solution(x, original_n)
-    return x, session.report()
 
 
 class TestGoldenPrograms:
@@ -171,7 +138,9 @@ class TestExecutePriceAgreement:
 
 
 class TestOldSequenceParity:
-    """Engine execution matches the pre-IR kernel sequence bit-for-bit."""
+    """Engine execution matches the staged sequence bit-for-bit and prices
+    what price mode prices, at pinned shapes that reach past the oracle's
+    draws (``tests/test_oracle.py``): 16 systems, 4097 rows."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("m,n", [(4, 1000), (1, 4097), (16, 2048), (5, 100)])
@@ -182,32 +151,13 @@ class TestOldSequenceParity:
         switch = _static_switch(device, m, n, dsize)
         plan = plan_solve(device, m, n, dsize, switch)
 
-        ref_x, ref_report = _reference_solve(device, batch, plan)
         result = MultiStageSolver(device, switch).execute_plan(
             batch, plan, switch
         )
-        assert np.array_equal(result.x, ref_x)
-        assert result.report.total_ms == ref_report.total_ms
-        assert result.report.stage_ms() == ref_report.stage_ms()
-
-    @settings(max_examples=20, deadline=None)
-    @given(
-        m=st.integers(min_value=1, max_value=9),
-        n=st.integers(min_value=8, max_value=3000),
-        dsize=st.sampled_from([4, 8]),
-    )
-    def test_property_parity(self, m, n, dsize):
-        device = make_device("gtx470")
-        dtype = np.float32 if dsize == 4 else np.float64
-        batch = generators.random_dominant(m, n, rng=m * 10007 + n, dtype=dtype)
-        switch = _static_switch(device, m, n, dsize)
-        plan = plan_solve(device, m, n, dsize, switch)
-        ref_x, ref_report = _reference_solve(device, batch, plan)
-        result = MultiStageSolver(device, switch).execute_plan(
-            batch, plan, switch
-        )
-        assert np.array_equal(result.x, ref_x)
-        assert result.report.total_ms == ref_report.total_ms
+        priced = Engine.for_device(device).price(plan.lower(device, dsize))
+        assert np.array_equal(result.x, reference_solve(batch, plan))
+        assert result.report.total_ms == priced.total_ms
+        assert result.report.stage_ms() == priced.report.stage_ms()
 
 
 class TestDistEnginePricing:
@@ -224,15 +174,24 @@ class TestDistEnginePricing:
     def test_batch_mode_gather_orders_by_completion(self):
         solver = DistributedSolver(3, "static", mode="batch")
         plan, report = solver.price(1000, 256, 8)
-        program = solver.lower(plan, 8)
-        sends = [
-            s for s in program.steps
-            if isinstance(s.op, Transfer) and s.stage == "send_solution"
-        ]
-        assert len(sends) == 2
-        # All gathers funnel through the host's ingress lane (claimed by
-        # the lane model, not a hand-placed resource string).
-        assert all("dev0:ingress" in s.resource_keys for s in sends)
+        run = Engine.for_group(solver.group).price(solver.lower(plan, 8))
+        assert run.total_ms == report.total_ms
+        solved = {t.device: t.end_ms for t in run.trace if t.op == "Unpad"}
+        sends = sorted(
+            (t for t in run.trace if t.stage == "send_solution"),
+            key=lambda t: t.start_ms,
+        )
+        # The host's own share needs no gather; the others arrive in the
+        # order their shares were solved.
+        assert [t.device for t in sends] == sorted(
+            (d for d in solved if d != 0), key=solved.get
+        )
+        # Each gather starts once its share is solved and the host's
+        # ingress is free, and holds that ingress until it ends.
+        ingress_free = 0.0
+        for send in sends:
+            assert send.start_ms == max(solved[send.device], ingress_free)
+            ingress_free = send.end_ms
 
 
 class TestPasses:
@@ -405,22 +364,6 @@ class TestFuseBatched:
         )
         with pytest.raises(PlanError):
             run_default_passes(program)
-
-    @settings(max_examples=15, deadline=None)
-    @given(
-        m=st.integers(min_value=1, max_value=9),
-        n=st.integers(min_value=8, max_value=3000),
-    )
-    def test_property_fused_execute_matches_unfused(self, m, n):
-        device = make_device("gtx470")
-        dsize = 8
-        batch = generators.random_dominant(m, n, rng=m * 104729 + n)
-        switch = _static_switch(device, m, n, dsize)
-        plan = plan_solve(device, m, n, dsize, switch)
-        engine = Engine.for_device(device)
-        unfused = engine.execute(plan.lower(device, dsize), batch)
-        fused = engine.execute(plan.lower(device, dsize, fuse=True), batch)
-        assert np.array_equal(unfused.x, fused.x)
 
     def test_fused_price_equals_execute(self):
         device = make_device("gtx280")
@@ -607,6 +550,28 @@ class TestEngineGuards:
             MultiStageSolver(device, switch).execute_plan(
                 batch, plan, switch
             )
+
+    def test_execute_rejects_a_batch_of_another_system_count(self):
+        # Steps are priced from the program: an 8-system batch would be
+        # solved, but priced as the plan's 4 systems.
+        device = make_device("gtx470")
+        switch = _static_switch(device, 4, 4096, 8)
+        plan = plan_solve(device, 4, 4096, 8, switch)
+        batch = generators.random_dominant(8, 4096, rng=3)
+        with pytest.raises(PlanError, match="program is for 4 systems, batch has 8"):
+            MultiStageSolver(device, switch, fuse=True).execute_plan(
+                batch, plan, switch
+            )
+
+    def test_execute_rejects_a_batch_of_another_value_size(self):
+        device = make_device("gtx470")
+        switch = _static_switch(device, 4, 4096, 8)
+        program = plan_solve(device, 4, 4096, 8, switch).lower(device, 8)
+        batch = generators.random_dominant(4, 4096, rng=3, dtype=np.float32)
+        with pytest.raises(
+            PlanError, match="program is for 8-byte values, batch has 4-byte float32"
+        ):
+            Engine.for_device(device).execute(program, batch)
 
 
 class TestSessionSnapshot:

@@ -9,24 +9,37 @@ from repro.algorithms import (
     pcr_unsplit_solution,
     thomas_solve,
 )
+from repro.core import SwitchPoints
+from repro.core.planner import plan_solve
 from repro.gpu import make_device
+from repro.ir import Engine, SplitCoop, Step
 from repro.kernels import (
     CoopPcrKernel,
     DivideKernel,
     GlobalPcrKernel,
     KernelContext,
     PcrThomasSmemKernel,
+    SplitChain,
     ThomasGlobalKernel,
     TransposeKernel,
     warp_padded_threads,
     warps_for,
 )
-from repro.systems import generators
+from repro.kernels.handlers import price_costs
+from repro.systems import BatchedTridiagonal, generators
 from repro.util.errors import ConfigurationError, ResourceExhaustedError
 
 
 def _ctx(device="gtx470"):
     return KernelContext(make_device(device).session())
+
+
+def _execute(batch, switch):
+    """Solve ``batch`` on the gtx470 through the engine; ``(x, report)``."""
+    device = make_device("gtx470")
+    plan = plan_solve(device, *batch.shape, 8, switch)
+    run = Engine.for_device(device).execute(plan.lower(device, 8), batch)
+    return run.x, run.report
 
 
 class TestHelpers:
@@ -45,24 +58,21 @@ class TestHelpers:
 
 class TestPcrThomasSmemKernel:
     def test_numerics_match_reference(self):
-        ctx = _ctx()
         batch = generators.random_dominant(8, 512, rng=0)
-        x = PcrThomasSmemKernel(thomas_switch=128).run(ctx, batch)
+        x, report = _execute(batch, SwitchPoints(stage3_system_size=512, thomas_switch=128))
         np.testing.assert_allclose(x, pcr_thomas_solve(batch, 128), atol=1e-12)
+        assert report.stage_ms().keys() == {"stage3_pcr_thomas"}
 
     def test_records_one_launch(self):
-        ctx = _ctx()
         batch = generators.random_dominant(4, 256, rng=1)
-        PcrThomasSmemKernel().run(ctx, batch)
-        report = ctx.session.report()
+        _, report = _execute(batch, SwitchPoints())
         assert report.num_launches == 1
         assert report.total_ms > 0
 
     def test_rejects_oversized_system(self):
         ctx = _ctx("8800gtx")  # max on-chip 256
-        batch = generators.random_dominant(2, 512, rng=0)
         with pytest.raises(ResourceExhaustedError):
-            PcrThomasSmemKernel().run(ctx, batch)
+            PcrThomasSmemKernel().cost(ctx, 2, 512, 8, 1)
 
     def test_rejects_unknown_variant(self):
         with pytest.raises(ConfigurationError):
@@ -96,9 +106,11 @@ class TestPcrThomasSmemKernel:
 
     def test_thomas_switch_clamped(self):
         ctx = _ctx()
+        cost = PcrThomasSmemKernel(thomas_switch=1024).cost(ctx, 4, 64, 8, 1)
+        assert cost.name == "pcr_thomas_smem[coalesced,T=64]"
         batch = generators.random_dominant(4, 64, rng=2)
-        x = PcrThomasSmemKernel(thomas_switch=1024).run(ctx, batch)
-        assert max_residual(batch, x) < 1e-12
+        x = SplitChain.of(BatchedTridiagonal.interleave(batch)).solve(1024)
+        assert max_residual(batch, np.ascontiguousarray(x.T)) < 1e-12
 
     def test_two_phases_recorded(self):
         ctx = _ctx()
@@ -150,31 +162,24 @@ class TestGlobalPcrKernel:
 
 class TestCoopPcrKernel:
     def test_split_numerics(self):
-        ctx = _ctx()
         batch = generators.random_dominant(1, 4096, rng=6)
-        split = CoopPcrKernel().run(ctx, batch, 4)
-        assert split.shape == (16, 256)
-        x = pcr_unsplit_solution(thomas_solve(split), 4)
+        x, report = _execute(batch, SwitchPoints(stage1_target_systems=16))
+        assert report.stage_ms().keys() == {"stage1_coop_pcr", "stage3_pcr_thomas"}
         assert max_residual(batch, x) < 1e-12
 
     def test_one_launch_per_step(self):
         """The inter-step dependency forces a grid sync per split."""
-        ctx = _ctx()
-        batch = generators.random_dominant(1, 1024, rng=7)
-        CoopPcrKernel().run(ctx, batch, 5)
-        assert ctx.session.report().num_launches == 5
+        costs = price_costs(Step(op=SplitCoop(5), shape=(1, 1024)), _ctx(), 8)
+        assert [cost.launches for cost in costs] == [1] * 5
 
     def test_zero_splits_is_noop(self):
-        ctx = _ctx()
-        batch = generators.random_dominant(1, 64, rng=8)
-        out = CoopPcrKernel().run(ctx, batch, 0)
-        assert out is batch
+        assert price_costs(Step(op=SplitCoop(0), shape=(1, 64)), _ctx(), 8) == []
 
     def test_too_many_splits_rejected(self):
-        ctx = _ctx()
         batch = generators.random_dominant(1, 64, rng=9)
+        chain = SplitChain.of(BatchedTridiagonal.interleave(batch))
         with pytest.raises(ConfigurationError):
-            CoopPcrKernel().run(ctx, batch, 7)
+            chain.split(7)
 
     def test_sync_overhead_charged(self):
         ctx = _ctx()
@@ -216,7 +221,7 @@ class TestElementwiseKernels:
         assert ctx.session.report().num_launches == 1
 
     def test_transpose(self):
-        ctx = _ctx()
-        arr = np.arange(12.0, dtype=np.float32).reshape(3, 4)
-        out = TransposeKernel().run(ctx, arr)
-        np.testing.assert_array_equal(out, arr.T)
+        """Tiled: both global sides stream at unit stride."""
+        cost = TransposeKernel().cost(_ctx(), 12, 4, arrays=4)
+        assert cost.traffic.raw_bytes == 2 * 4 * 12 * 4
+        assert cost.traffic.effective_bytes == cost.traffic.raw_bytes

@@ -1,9 +1,10 @@
 """Differential tests for the in-place split chain.
 
 The engine runs every split stage on :class:`repro.kernels.SplitChain`,
-in the original equation order. The gathered kernel sequence in
-``tests/test_ir.py::_reference_solve`` (split, gather, solve, scatter) is
-the independent reference: solutions must match it bit for bit —
+in the original equation order. The gathered :mod:`repro.algorithms`
+chain of ``tests/test_oracle.py::reference_solve`` (split, gather, solve,
+scatter) is the independent reference: solutions must match it bit for
+bit —
 compared as integers, so a flipped sign of zero counts — singular input
 must fail with the same error, and execution must price exactly what the
 data-free price mode prices. A NaN in the result of singular input is
@@ -39,7 +40,7 @@ from repro.ir import (
     Unpad,
     lower_solve_plan,
 )
-from repro.kernels import KernelContext, SplitChain, chain, dtype_size
+from repro.kernels import SplitChain, chain, dtype_size
 from repro.kernels.handlers import ExecState, execute_step
 from repro.systems import generators
 from repro.systems.batched import BatchedTridiagonal
@@ -47,7 +48,7 @@ from repro.systems.tridiagonal import SharedMatrixBatch, TridiagonalBatch
 from repro.util.errors import ShapeError, SingularSystemError
 from repro.util.validation import ilog2, next_power_of_two
 from tests.conftest import examples
-from tests.test_ir import _reference_solve
+from tests.test_oracle import reference_solve
 
 DEVICE = make_device("gtx470")
 
@@ -161,7 +162,7 @@ class TestAgainstGatheredReference:
             case["thomas_switch"],
         )
         # Every plane against the tiled batch's systems.
-        ref_x, _ = _reference_solve(DEVICE, tiled, plan)
+        ref_x = reference_solve(tiled, plan)
         program = lower_solve_plan(
             plan, DEVICE, dtype_size(batch.dtype), fuse=case["fuse"]
         )
@@ -184,7 +185,7 @@ class TestAgainstGatheredReference:
         batch = _zero_rows(generators.random_dominant(m, n, rng=5), [(system, row)])
         plan = _plan(m, n, k1, k2, thomas_switch)
         with np.errstate(all="ignore"):
-            expected = _outcome(lambda: _reference_solve(DEVICE, batch, plan)[0])
+            expected = _outcome(lambda: reference_solve(batch, plan))
             got = _engine_outcome(batch, plan, fuse)
         assert expected[0] == "singular"
         assert got == expected
@@ -223,7 +224,7 @@ class TestAgainstGatheredReference:
             tiled.num_systems, n, case["k1"], case["k2"], case["thomas_switch"]
         )
         with np.errstate(all="ignore"):
-            expected = _outcome(lambda: _reference_solve(DEVICE, tiled, plan)[0])
+            expected = _outcome(lambda: reference_solve(tiled, plan))
             got = _engine_outcome(work, plan, case["fuse"])
         assert got == expected
 
@@ -234,9 +235,8 @@ def _coeffs(batch):
 
 def _run(state, *ops):
     """Execute ``ops`` on ``state``, each at the batch's logical shape."""
-    ctx = KernelContext(DEVICE.session())
     for op in ops:
-        execute_step(Step(op=op, shape=state.work.shape), ctx, state)
+        execute_step(Step(op=op, shape=state.work.shape), state)
 
 
 class TestLayoutContract:
