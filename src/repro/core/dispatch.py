@@ -23,7 +23,7 @@ actually wins.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Optional, Union
 
 
 from ..baselines.mkl import INTEL_CORE_I5_34GHZ, CpuSpec, MklLikeCpuSolver
@@ -152,30 +152,6 @@ class HybridDispatcher:
         return self.price(
             batch.num_systems, batch.system_size, dtype_size(batch.dtype)
         )
-
-    def choose_many(
-        self, batches: Iterable[TridiagonalBatch]
-    ) -> List[HybridChoice]:
-        """Dispatch decisions for a stream of batches, priced per shape.
-
-        The service-aware path: a request mix repeats a handful of
-        workload shapes thousands of times, so each distinct
-        ``(num_systems, system_size, dtype)`` is priced once and the
-        decision reused for every request of that shape.
-        """
-        memo: Dict[Tuple[int, int, int], HybridChoice] = {}
-        out: List[HybridChoice] = []
-        for batch in batches:
-            shape = (
-                batch.num_systems,
-                batch.system_size,
-                dtype_size(batch.dtype),
-            )
-            choice = memo.get(shape)
-            if choice is None:
-                choice = memo[shape] = self.price(*shape)
-            out.append(choice)
-        return out
 
     def crossover_size(
         self, num_systems: int, *, dsize: int = 4, max_exp: int = 24

@@ -10,9 +10,10 @@ equivalent of wall-clock measurements, and the quantity the self-tuner
 minimises.
 
 Each :class:`LaunchRecord` also carries a trace span (``start_ms`` /
-``end_ms`` on the session's serial timeline) and the issuing device name,
-so the instruction-program engine (:mod:`repro.ir.engine`) gets uniform
-per-instruction observability without a second bookkeeping path.
+``end_ms``) and the issuing device name. A session lays its launches
+end to end; the instruction-program engine (:mod:`repro.ir.engine`)
+builds the same records where its list scheduler places each launch,
+and reports a solve program's launches as a :class:`SimReport` too.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ class LaunchRecord:
     stage: str
     breakdown: CostBreakdown
     # Trace fields (defaulted so records remain cheap to construct by
-    # hand in tests): where and when on the session's serial timeline.
+    # hand in tests): where the launch ran and when it was placed.
     device_name: str = ""
     start_ms: float = 0.0
     end_ms: float = 0.0
@@ -146,29 +147,6 @@ class SimSession:
     def elapsed_ms(self) -> float:
         """Simulated time so far (accumulated, not re-summed)."""
         return self._total_ms
-
-    @property
-    def num_records(self) -> int:
-        """Launches recorded so far."""
-        return len(self._records)
-
-    def records_since(self, index: int) -> tuple:
-        """Launch records appended after position ``index``.
-
-        Lets per-step consumers (the engine's kernel spans) slice their
-        window without copying the whole record list each step.
-        """
-        return tuple(self._records[index:])
-
-    def snapshot(self) -> SimReport:
-        """A report of everything recorded so far, without closing.
-
-        Use this to observe a session mid-flight (progress displays,
-        engine traces); :meth:`report` remains the terminal call.
-        """
-        return SimReport(
-            device_name=self.device.name, records=tuple(self._records)
-        )
 
     def report(self) -> SimReport:
         """Close the session and return its report."""

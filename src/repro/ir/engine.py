@@ -5,31 +5,33 @@ in two modes:
 
 - :meth:`Engine.execute` — carries a real
   :class:`~repro.systems.TridiagonalBatch` through the kernel handlers'
-  numerics on a live :class:`~repro.gpu.executor.SimSession`.
-  Single-device (``kind="solve"``) programs only; this is what
+  numerics. Single-device (``kind="solve"``) programs only; this is what
   :meth:`MultiStageSolver.execute_plan` runs.
-- :meth:`Engine.price` — data-free.
+- :meth:`Engine.price` — data-free, for every program kind.
 
-A solve program runs one loop in both modes: every step submits the
-handlers' :class:`~repro.gpu.cost.KernelCost` records for its shape in
-the program, in execute mode after the step's numerics. A step's price
-is thus a function of the program alone, the two totals are
-bit-identical by construction, and execute rejects a batch whose system
-count or value size is not the program's. Dist programs are priced by
-an overlap-aware list scheduler: every device exposes independent
-compute, egress, and ingress lanes (see
-:attr:`~repro.ir.instructions.Step.resource_keys`), ready steps are
-placed greedily at their earliest feasible start (ties resolve to
-program order), and each placement lands as an event on a per-device
-timeline — the :class:`~repro.dist.pipeline.DistReport` makespan model.
-A ``Transfer`` claims its source's egress and destination's ingress
-lanes simultaneously, so a device streams boundary data out while its
-next solve computes, while messages converging on one endpoint still
-serialise.
+Both modes run one overlap-aware list scheduler. Every device exposes
+independent compute, egress, and ingress lanes (see
+:attr:`~repro.ir.instructions.Step.resource_keys`); ready steps are
+placed greedily at their earliest feasible start, ties resolving to
+program order. A compute step runs its numerics (execute mode only) and
+then places the handlers' :class:`~repro.gpu.cost.KernelCost` launches
+for its shape in the program back to back from its start on its
+device's compute lane. A step's price is thus a function of the program
+alone, the two modes' clocks are bit-identical by construction, and
+execute rejects a batch whose system count or value size is not the
+program's. A ``Transfer`` claims its source's egress and destination's
+ingress lanes simultaneously, so a device streams boundary data out
+while its next solve computes, while messages converging on one
+endpoint still serialise. A solve program is the one-device,
+single-chain case: its launches tile one serial timeline, reported as a
+:class:`~repro.gpu.executor.SimReport`; a dist program's placements
+land as events on per-device timelines, reported as a
+:class:`~repro.dist.pipeline.DistReport` (the makespan model).
 
-Both modes thread a per-instruction :class:`StepTrace` (stage, device,
-span) so every path gets uniform observability from one bookkeeping
-mechanism.
+Every placement also yields a per-instruction :class:`StepTrace` (stage,
+device, span) and, on a tracer, an ``instruction`` span with one
+``kernel`` child per launch, so every path gets uniform observability
+from one bookkeeping mechanism.
 
 Fault injection
 ---------------
@@ -41,22 +43,26 @@ with capped exponential backoff under the injector's
 :class:`~repro.faults.RetryPolicy` and a per-program retry budget; the
 wasted attempts and backoffs are priced with the same kernel cost model
 as the work itself and recorded in the injector's
-:class:`~repro.faults.FaultLog`. Any :class:`ReproError` escaping a step
-is annotated with the failing instruction — ``exc.instruction`` is
+:class:`~repro.faults.FaultLog`. Clock skew and link degradation
+(:meth:`~repro.faults.FaultInjector.adjust_duration_ms`) stretch the
+steps of dist programs. Any :class:`ReproError` escaping a step is
+annotated with the failing instruction — ``exc.instruction`` is
 ``(index, opcode, device)`` and the message names all three — so
 mid-program failures are attributable.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..gpu.cost import kernel_time_ms
-from ..gpu.executor import Device
+from ..gpu.executor import Device, LaunchRecord, SimReport
 from ..kernels.base import KernelContext
+from ..obs.trace import kernel_spans
 from ..util.errors import FaultInjectionError, PlanError, ReproError
 from .instructions import Program, Step, Transfer, signature_text
 
@@ -70,6 +76,68 @@ def _handlers():
     return handlers
 
 __all__ = ["StepTrace", "EngineRun", "Engine"]
+
+
+def _no_numerics(step: Step) -> None:
+    """Price mode's numerics: none."""
+
+
+def _list_schedule(steps, lanes, end_of, free):
+    """Yield ``(index, start)`` for every step, in list-scheduling order.
+
+    Of all *ready* steps (every dependency placed) the one that can start
+    earliest — after its dependencies' ``end_of`` and once each of its
+    ``lanes`` is ``free`` — goes next; ties resolve to program order, so
+    the schedule is deterministic and degenerates to program-order ASAP
+    when nothing overlaps. The caller places each yielded step, filling
+    ``end_of`` and ``free``, before resuming. Dependency edges are the
+    *only* correctness constraint: the infer_dependencies pass makes
+    same-lane program order explicit before a dist program gets here,
+    and every solve lowering chains its steps.
+
+    Ready steps wait in a heap keyed by a lower bound of their start
+    (lane clocks only advance), refreshed when popped. A one-lane step
+    found waiting on its lane is parked on that lane instead: it starts
+    whenever the lane next frees, so the lane's lowest parked index is
+    its only candidate, and a long queue on one lane costs ``log n`` per
+    placement rather than a refresh of the whole queue.
+    """
+    waiting = [len(s.deps) for s in steps]
+    dependents: List[List[int]] = [[] for _ in steps]
+    for j, s in enumerate(steps):
+        for d in s.deps:
+            dependents[d].append(j)
+
+    def earliest(j: int) -> float:
+        start = max((end_of[d] for d in steps[j].deps), default=0.0)
+        for key in lanes[j]:
+            start = max(start, free.get(key, 0.0))
+        return start
+
+    ready = [(0.0, j) for j, count in enumerate(waiting) if not count]
+    parked: Dict[str, List[int]] = {}
+    while ready or parked:
+        lane = min(parked, key=lambda k: (free[k], parked[k][0])) if parked else None
+        if lane is not None and (
+            not ready or (free[lane], parked[lane][0]) < ready[0]
+        ):
+            i, start = heapq.heappop(parked[lane]), free[lane]
+            if not parked[lane]:
+                del parked[lane]
+        else:
+            bound, i = heapq.heappop(ready)
+            start = earliest(i)
+            if start > bound:
+                if len(lanes[i]) == 1:
+                    heapq.heappush(parked.setdefault(lanes[i][0], []), i)
+                else:
+                    heapq.heappush(ready, (start, i))
+                continue
+        yield i, start
+        for j in dependents[i]:
+            waiting[j] -= 1
+            if not waiting[j]:
+                heapq.heappush(ready, (earliest(j), j))
 
 
 @dataclass(frozen=True)
@@ -187,14 +255,13 @@ class Engine:
                 exc.args = (where,) + exc.args
         return exc
 
-    def _interpret(self, program, i, step, budget, body, duration_ms=None):
-        """Run one step's ``body`` under fault injection and retry.
+    def _interpret(self, program, i, step, budget, numerics, duration_ms):
+        """Run one step's ``numerics(step)`` under fault injection and
+        retry.
 
         Transient faults retry with backoff while per-step attempts and
         the per-program ``budget`` allow; each wasted attempt is charged
-        at the step's priced duration plus the backoff and logged.
-        Every escaping :class:`ReproError` is annotated with the
-        instruction context.
+        at the step's priced ``duration_ms`` plus the backoff and logged.
 
         Returns the number of *retries* the step needed (0 for a clean
         run) — the injector draws deterministically per instruction, so
@@ -203,25 +270,17 @@ class Engine:
         """
         inj = self.injector
         if inj is None:
-            try:
-                body()
-                return 0
-            except ReproError as exc:
-                raise self._annotate(exc, i, step)
+            numerics(step)
+            return 0
         retry = inj.retry
         attempt = 0
         while True:
             try:
                 inj.before_step(program, i, step, attempt)
-                body()
+                numerics(step)
                 return attempt
-            except FaultInjectionError as exc:
-                wasted = (
-                    duration_ms
-                    if duration_ms is not None
-                    else self._step_duration(step, program)
-                )
-                penalty = wasted + retry.backoff_ms(attempt)
+            except FaultInjectionError:
+                penalty = duration_ms + retry.backoff_ms(attempt)
                 fields = dict(
                     label=program.label,
                     step=i,
@@ -232,17 +291,15 @@ class Engine:
                 )
                 if attempt + 1 >= retry.max_attempts or not budget.consume():
                     inj.note("transient", "exhausted", **fields)
-                    raise self._annotate(exc, i, step)
+                    raise
                 inj.note("transient", "retried", **fields)
                 attempt += 1
-            except ReproError as exc:
-                raise self._annotate(exc, i, step)
 
     def _budget(self) -> "_RetryBudget":
         inj = self.injector
         return _RetryBudget(inj.retry.budget if inj is not None else 0)
 
-    # -- single-device solve programs --------------------------------------
+    # -- the two modes -----------------------------------------------------
 
     def execute(self, program: Program, batch) -> EngineRun:
         """Run ``program`` on real data; single-device programs only.
@@ -267,225 +324,160 @@ class Engine:
             )
         handlers = _handlers()
         state = handlers.ExecState.for_batch(batch)
-        run = self._run_solve(
-            program, lambda step: handlers.execute_step(step, state)
-        )
+        run = self._run(program, lambda step: handlers.execute_step(step, state))
         return replace(run, x=state.x)
 
     def price(self, program: Program) -> EngineRun:
         """Price ``program`` without data."""
-        if program.kind != "solve":
-            return self._price_dist(program)
-        return self._run_solve(program)
+        return self._run(program)
 
-    def _run_solve(self, program: Program, numerics=None) -> EngineRun:
-        """Interpret a solve program step by step on one live session.
-
-        Every step submits its handlers' cost records for the program's
-        shapes, after ``numerics(step)`` in execute mode. Both modes
-        share everything else (retry budget, fault retries, step trace,
-        spans, abort), so their clocks agree by construction.
-        """
+    def _run(self, program: Program, numerics=_no_numerics) -> EngineRun:
+        """Place every step of ``program`` in list-scheduling order,
+        running ``numerics(step)`` before each placement (the solve in
+        execute mode)."""
         handlers = _handlers()
-        session = self._require_device(0).session()
-        ctx = KernelContext(session)
+        steps = program.steps
+        skew = self.injector if program.kind == "dist" else None
+        lanes = [() if s.is_marker else s.resource_keys for s in steps]
+        end_of: List[float] = [0.0] * len(steps)
+        free: Dict[str, float] = {}
+        records: List[LaunchRecord] = []
+        events: List[Tuple[Step, float, float]] = []
+        traces: List[Optional[StepTrace]] = [None] * len(steps)
         budget = self._budget()
         tracer = self.tracer
         token = self._begin_program(program, 0.0)
-        trace: List[StepTrace] = []
-
-        def body(step: Step) -> None:
-            if numerics is not None:
-                numerics(step)
-            for cost in handlers.price_costs(step, ctx, program.dtype_size):
-                session.submit(cost, stage=step.stage)
-
         try:
-            for i, step in enumerate(program.steps):
-                start = session.elapsed_ms
-                mark = session.num_records
+            for i, start in _list_schedule(steps, lanes, end_of, free):
+                step = steps[i]
+                op = step.op
+                # Launches run back to back from the step's start, so a
+                # chain of steps on one lane tiles one serial clock; a
+                # step without launches holds its lanes for its duration.
+                launches: List[LaunchRecord] = []
+                duration = 0.0
+                end = start
+                if isinstance(op, Transfer):
+                    duration = self._transfer_ms(step, program)
+                    if skew is not None:
+                        duration = skew.adjust_duration_ms(step, duration)
+                    end = start + duration
+                elif not step.is_marker:
+                    ctx = self._ctx(step.device)
+                    for cost in handlers.price_costs(
+                        step, ctx, program.dtype_size
+                    ):
+                        breakdown = kernel_time_ms(ctx.spec, cost)
+                        ms = breakdown.total_ms
+                        if skew is not None:
+                            ms = skew.adjust_duration_ms(step, ms)
+                        launches.append(
+                            LaunchRecord(
+                                stage=step.stage,
+                                breakdown=breakdown,
+                                device_name=ctx.device.name,
+                                start_ms=end,
+                                end_ms=end + ms,
+                            )
+                        )
+                        end += ms
+                        duration += ms
                 retries = self._interpret(
-                    program, i, step, budget, lambda step=step: body(step)
+                    program, i, step, budget, numerics, duration
                 )
-                end = session.elapsed_ms
-                trace.append(self._trace(i, step, start, end))
+                records += launches
+                end_of[i] = end
+                for key in lanes[i]:
+                    free[key] = end
+                traces[i] = StepTrace(
+                    i, type(op).__name__, step.stage, step.device, step.engine,
+                    start, end,
+                )
                 if tracer is not None:
-                    self._span_step(
-                        i, step, start, end, retries,
-                        kernels=self._kernel_spans(session, mark, step.device),
-                    )
+                    self._span_step(i, step, start, end, retries, launches)
+                # Compute spans always land on the timeline (even
+                # zero-duration ones); transfers only when data moved — a
+                # free local hop occupies the link for no time.
+                if not step.is_marker and (
+                    step.engine == "compute" or duration > 0
+                ):
+                    events.append((step, start, end))
         except ReproError as exc:
-            self._abort_program(token, session.elapsed_ms, exc)
-            raise
-        self._end_program(token, session.elapsed_ms)
-        return EngineRun(
-            program=program, report=session.report(), trace=tuple(trace)
-        )
+            if tracer is not None:
+                tracer.abort_to(
+                    token, max(end_of, default=0.0), error=type(exc).__name__
+                )
+            raise self._annotate(exc, i, steps[i])
+        if tracer is not None:
+            tracer.end(max(end_of, default=0.0))
+        if program.kind == "solve":
+            report = SimReport(
+                device_name=self._require_device(0).name, records=tuple(records)
+            )
+        else:
+            report = self._dist_report(program, events)
+        return EngineRun(program=program, report=report, trace=tuple(traces))
 
-    # -- dist programs -----------------------------------------------------
+    def _dist_report(self, program: Program, events):
+        """Per-device timelines of placed ``(step, start, end)`` events.
 
-    def _price_dist(self, program: Program) -> EngineRun:
+        Compute lands on the ``"compute"`` lane. A cross-device transfer
+        lands on the issuing device's egress (``"out"``) or ingress
+        (``"in"``) lane and is mirrored onto the other endpoint's
+        opposite lane; a transfer within one device on ``"xfer"``.
+        """
         from ..dist.pipeline import DeviceTimeline, DistReport, TimelineEvent
 
         p = program.num_devices
-        steps = program.steps
-        total = len(steps)
-        events: List[List[TimelineEvent]] = [[] for _ in range(p)]
-        end_of: List[float] = [0.0] * total
-        free: Dict[str, float] = {}
-        budget = self._budget()
-        tracer = self.tracer
-        token = self._begin_program(program, 0.0)
-        traces: List[Optional[StepTrace]] = [None] * total
-        scheduled = [False] * total
-        remaining = list(range(total))
-        try:
-            # Overlap-aware list scheduling: of all *ready* steps (every
-            # dependency scheduled), greedily place the one that can
-            # start earliest given its lane claims (compute engine, or
-            # egress+ingress for transfers — see Step.resource_keys).
-            # Ties resolve to program order, so the schedule is
-            # deterministic and degenerates to plain program-order ASAP
-            # when nothing overlaps. Dependency edges are the *only*
-            # correctness constraint: the infer_dependencies pass
-            # guarantees same-lane program order is explicit before a
-            # program reaches this scheduler, so reordering here can
-            # never run a consumer before its producer.
-            while remaining:
-                best_start, best_i = None, None
-                for i in remaining:
-                    step = steps[i]
-                    if not all(scheduled[d] for d in step.deps):
-                        continue
-                    start = max(
-                        (end_of[d] for d in step.deps), default=0.0
-                    )
-                    if not step.is_marker:
-                        for key in step.resource_keys:
-                            start = max(start, free.get(key, 0.0))
-                    if best_start is None or start < best_start:
-                        best_start, best_i = start, i
-                i, start = best_i, best_start
-                step = steps[i]
-                remaining.remove(i)
-                scheduled[i] = True
-                if step.is_marker:
-                    # Free bookkeeping: passes dependencies through
-                    # without occupying any lane.
-                    end_of[i] = start
-                    traces[i] = self._trace(i, step, start, start)
-                    if tracer is not None:
-                        self._span_step(i, step, start, start, 0)
-                    continue
-                duration = self._step_duration(step, program)
-                if self.injector is not None:
-                    duration = self.injector.adjust_duration_ms(step, duration)
-                retries = self._interpret(
-                    program, i, step, budget, lambda: None, duration_ms=duration
-                )
-                end = start + duration
-                for key in step.resource_keys:
-                    free[key] = end
-                end_of[i] = end
-                # Compute spans always land on the timeline (even
-                # zero-duration ones); transfers only when data moved — a
-                # free local hop occupies the link for no time and draws
-                # nothing.
-                if step.engine == "compute" or duration > 0:
-                    events[step.device].append(
-                        TimelineEvent(
-                            self._event_kind(step),
-                            step.stage,
-                            start,
-                            end,
-                            lane=self._event_lane(step),
-                        )
-                    )
-                    # A cross-device transfer occupies both endpoints'
-                    # link lanes; mirror it onto the other device's
-                    # timeline so its ingress/egress occupancy renders.
-                    op = step.op
-                    if isinstance(op, Transfer) and op.src != op.dst:
-                        other = op.dst if step.device == op.src else op.src
-                        other_lane = (
-                            "in" if other == op.dst else "out"
-                        )
-                        if 0 <= other < p:
-                            events[other].append(
-                                TimelineEvent(
-                                    "xfer",
-                                    step.stage,
-                                    start,
-                                    end,
-                                    lane=other_lane,
-                                )
-                            )
-                traces[i] = self._trace(i, step, start, end)
-                if tracer is not None:
-                    self._span_step(i, step, start, end, retries)
-        except ReproError as exc:
-            self._abort_program(token, max(end_of, default=0.0), exc)
-            raise
-        self._end_program(token, max(end_of, default=0.0))
-        trace = [t for t in traces if t is not None]
-        timelines = tuple(
-            DeviceTimeline(
-                i,
-                program.device_names[i],
-                tuple(
-                    sorted(events[i], key=lambda e: (e.start_ms, e.end_ms))
-                ),
+        lanes: List[List[TimelineEvent]] = [[] for _ in range(p)]
+        for step, start, end in events:
+            op = step.op
+            kind = "compute" if step.engine == "compute" else "xfer"
+            crossing = isinstance(op, Transfer) and op.src != op.dst
+            lane = kind
+            if crossing:
+                lane = "out" if op.src == step.device else "in"
+            lanes[step.device].append(
+                TimelineEvent(kind, step.stage, start, end, lane=lane)
             )
-            for i in range(p)
-        )
-        report = DistReport(
+            if crossing:
+                other = op.dst if lane == "out" else op.src
+                if 0 <= other < p:
+                    mirror = "in" if lane == "out" else "out"
+                    lanes[other].append(
+                        TimelineEvent("xfer", step.stage, start, end, lane=mirror)
+                    )
+        return DistReport(
             group_label=program.label or self.label,
             schedule=program.schedule,
-            timelines=timelines,
-        )
-        return EngineRun(program=program, report=report, trace=tuple(trace))
-
-    @staticmethod
-    def _event_kind(step: Step) -> str:
-        return "compute" if step.engine == "compute" else "xfer"
-
-    @staticmethod
-    def _event_lane(step: Step) -> str:
-        """Which per-device lane a timeline event occupies.
-
-        Compute stays ``"compute"``; a cross-device transfer lands on
-        the issuing device's ``"out"`` (it is the source) or ``"in"``
-        (it is the destination) lane, matching the egress/ingress
-        resource claims the scheduler serialised it on.
-        """
-        if isinstance(step.op, Transfer) and step.op.src != step.op.dst:
-            return "out" if step.op.src == step.device else "in"
-        return "compute" if step.engine == "compute" else "xfer"
-
-    def _step_duration(self, step: Step, program: Program) -> float:
-        """Simulated duration of one non-marker step."""
-        op = step.op
-        if isinstance(op, Transfer):
-            if self.interconnect is None:
-                raise PlanError(
-                    "program transfers data but the engine has no interconnect"
+            timelines=tuple(
+                DeviceTimeline(
+                    d,
+                    program.device_names[d],
+                    tuple(sorted(lanes[d], key=lambda e: (e.start_ms, e.end_ms))),
                 )
-            nbytes = op.values_per_system * step.shape[0] * program.dtype_size
-            return self.interconnect.transfer_ms(
-                nbytes, op.src, op.dst, program.num_devices
+                for d in range(p)
+            ),
+        )
+
+    def _transfer_ms(self, step: Step, program: Program) -> float:
+        """Simulated duration of one ``Transfer`` on the interconnect."""
+        if self.interconnect is None:
+            raise PlanError(
+                "program transfers data but the engine has no interconnect"
             )
-        ctx = self._ctx(step.device)
-        total = 0.0
-        for cost in _handlers().price_costs(step, ctx, program.dtype_size):
-            total += kernel_time_ms(ctx.spec, cost).total_ms
-        return total
+        op = step.op
+        nbytes = op.values_per_system * step.shape[0] * program.dtype_size
+        return self.interconnect.transfer_ms(
+            nbytes, op.src, op.dst, program.num_devices
+        )
 
     # -- tracer plumbing ---------------------------------------------------
     #
     # Spans are built from the same quantities in execute and price mode
-    # (step bounds off the session clock, kernel spans off the identical
-    # launch records, retry counts off the deterministic injector), so
-    # the two modes emit equal trees — pinned by tests/test_obs.py.
+    # (step bounds and kernel spans off the scheduler's placements, retry
+    # counts off the deterministic injector), so the two modes emit equal
+    # trees — pinned by tests/test_obs.py.
 
     def _begin_program(self, program: Program, start_ms: float):
         if self.tracer is None:
@@ -502,15 +494,7 @@ class Engine:
             system_size=program.system_size,
         )
 
-    def _end_program(self, token, end_ms: float) -> None:
-        if self.tracer is not None:
-            self.tracer.end(end_ms)
-
-    def _abort_program(self, token, end_ms: float, exc: Exception) -> None:
-        if self.tracer is not None:
-            self.tracer.abort_to(token, end_ms, error=type(exc).__name__)
-
-    def _span_step(self, i, step, start, end, retries, kernels=()):
+    def _span_step(self, i, step, start, end, retries, launches):
         attrs = dict(op=type(step.op).__name__, stage=step.stage)
         if retries:
             attrs["retries"] = retries
@@ -520,36 +504,8 @@ class Engine:
             start,
             end,
             device=step.device,
-            children=kernels,
+            children=kernel_spans(launches, step.device),
             **attrs,
-        )
-
-    @staticmethod
-    def _kernel_spans(session, mark: int, device: int) -> tuple:
-        from ..obs.trace import Span
-
-        return tuple(
-            Span(
-                name=rec.breakdown.name,
-                category="kernel",
-                start_ms=rec.start_ms,
-                end_ms=rec.end_ms,
-                device=device,
-                attrs=(("bound", rec.breakdown.bound), ("stage", rec.stage)),
-            )
-            for rec in session.records_since(mark)
-        )
-
-    @staticmethod
-    def _trace(i: int, step: Step, start: float, end: float) -> StepTrace:
-        return StepTrace(
-            index=i,
-            op=type(step.op).__name__,
-            stage=step.stage,
-            device=step.device,
-            engine=step.engine,
-            start_ms=start,
-            end_ms=end,
         )
 
 

@@ -22,8 +22,8 @@ shared under a lock — concurrent workers trace into one tracer safely.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Tuple
 
 __all__ = ["Span", "Tracer", "spans_from_report"]
 
@@ -178,12 +178,6 @@ class Tracer:
             )
         )
 
-    def annotate(self, **attrs) -> None:
-        """Add attributes to the innermost open span."""
-        stack = self._stack()
-        if stack:
-            stack[-1].attrs.extend(sorted(attrs.items()))
-
     def abort_to(self, token: int, end_ms: float, **attrs) -> None:
         """Unwind open spans down to ``token`` (error escape path).
 
@@ -215,21 +209,27 @@ class Tracer:
             self._roots.clear()
 
 
-def spans_from_report(report) -> Tuple[Span, ...]:
-    """Kernel-level spans of a :class:`~repro.gpu.executor.SimReport`.
-
-    Each launch record becomes one ``kernel`` span on the session's
-    serial timeline — the bridge that lets span-based rendering and
-    export consume reports produced outside a traced engine run.
-    """
+def kernel_spans(records, device: int = 0) -> Tuple[Span, ...]:
+    """One ``kernel`` span per :class:`~repro.gpu.executor.LaunchRecord`,
+    on ``device``, where the record was placed."""
     return tuple(
         Span(
             name=rec.breakdown.name,
             category="kernel",
             start_ms=rec.start_ms,
             end_ms=rec.end_ms,
-            device=0,
+            device=device,
             attrs=(("bound", rec.breakdown.bound), ("stage", rec.stage)),
         )
-        for rec in report.records
+        for rec in records
     )
+
+
+def spans_from_report(report) -> Tuple[Span, ...]:
+    """Kernel-level spans of a :class:`~repro.gpu.executor.SimReport`.
+
+    Each launch record becomes one ``kernel`` span on the report's
+    serial timeline — the bridge that lets span-based rendering and
+    export consume reports produced outside a traced engine run.
+    """
+    return kernel_spans(report.records)

@@ -6,9 +6,11 @@ Four contracts pinned here:
   ``mode="rows"`` (same SPIKE math, fused local sweeps, same reduced
   system), and the auto mode may pick it without changing answers.
 - **scheduling** — the engine's list scheduler never starts a step
-  before its dependencies finish, and never double-books a lane
-  (per-device compute, egress, ingress), property-tested over random
-  multi-device programs.
+  before its dependencies finish, never double-books a lane
+  (per-device compute, egress, ingress), and tiles every compute
+  instruction with its kernel launches, property-tested over random
+  multi-device programs; a solve program prices exactly as the same
+  steps scheduled as a one-device dist program.
 - **passes** — :func:`repro.ir.passes.infer_dependencies` gives
   program-order edges to dep-less steps sharing a lane and is a no-op
   on every lowering (they all carry explicit edges already).
@@ -17,19 +19,38 @@ Four contracts pinned here:
   prints and the docs embed).
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import plan_solve
+from repro.core.tuning import make_tuner
 from repro.dist import DistributedSolver, make_device_group, render_overlap_gantt
-from repro.ir import Engine, Program, Step, run_default_passes
-from repro.ir.instructions import ReducedSolve, Reconstruct, Transfer, Unpad
+from repro.gpu import make_device
+from repro.ir import (
+    Engine,
+    Program,
+    Step,
+    concat_solve_programs,
+    lower_solve_plan,
+)
+from repro.ir.instructions import (
+    OnChipSolve,
+    ReducedSolve,
+    Reconstruct,
+    SplitCoop,
+    Transfer,
+    Unpad,
+)
 from repro.ir.passes import infer_dependencies
 from repro.kernels import dtype_size
 from repro.obs import Tracer
 from repro.systems import generators
 from repro.util.errors import ConfigurationError
+from tests.conftest import examples
 
 pytestmark = pytest.mark.dist
 
@@ -170,15 +191,26 @@ def _random_program(draw) -> Program:
                 )
             )
         else:
-            op = draw(
-                st.sampled_from([ReducedSolve(4), Reconstruct()])
+            # One-launch steps, and multi-launch ones (a k-step
+            # cooperative split is k launches) that may start after a
+            # transfer.
+            op, shape = draw(
+                st.sampled_from(
+                    [
+                        (ReducedSolve(4), (1, 4096)),
+                        (Reconstruct(), (1, 4096)),
+                        (SplitCoop(2), (1, 4096)),
+                        (SplitCoop(5), (4, 4096)),
+                        (OnChipSolve(64, "coalesced"), (16, 256)),
+                    ]
+                )
             )
             steps.append(
                 Step(
                     op=op,
                     device=device,
                     stage=f"compute{i}",
-                    shape=(1, 4096),
+                    shape=shape,
                     deps=deps,
                 )
             )
@@ -195,7 +227,7 @@ def _random_program(draw) -> Program:
 
 
 class TestListScheduler:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     @given(st.data())
     def test_dependencies_never_run_backwards(self, data):
         program, group = _random_program(data.draw)
@@ -209,7 +241,7 @@ class TestListScheduler:
                 # particular never before the producing transfer lands.
                 assert trace.start_ms >= by_index[dep].end_ms
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     @given(st.data())
     def test_lanes_are_never_double_booked(self, data):
         program, group = _random_program(data.draw)
@@ -226,6 +258,51 @@ class TestListScheduler:
             intervals.sort()
             for (s0, e0), (s1, _) in zip(intervals, intervals[1:]):
                 assert s1 >= e0
+
+    @settings(max_examples=examples(60), deadline=None)
+    @given(st.data())
+    def test_kernel_spans_tile_every_compute_instruction(self, data):
+        program, group = _random_program(data.draw)
+        engine = Engine.for_group(group)
+        engine.tracer = Tracer()
+        engine.price(program)
+        (root,) = engine.tracer.spans()
+        assert len(root.children) == len(program.steps)
+        for span in root.children:
+            step = program.steps[int(span.name[1:].split("]")[0])]
+            if step.is_marker or isinstance(step.op, Transfer):
+                assert span.children == ()
+                continue
+            kernels = span.children
+            assert kernels and all(k.category == "kernel" for k in kernels)
+            assert all(k.device == step.device for k in kernels)
+            assert kernels[0].start_ms == span.start_ms
+            for prev, cur in zip(kernels, kernels[1:]):
+                assert cur.start_ms == prev.end_ms
+            assert kernels[-1].end_ms == span.end_ms
+
+    def test_solve_program_prices_as_a_one_device_dist_program(self):
+        # A solve program is the one-device, single-chain case of the
+        # list scheduler: relabelled as a dist program, the same steps
+        # give the same makespan and step trace, bit for bit.
+        tuner = make_tuner("static")
+        checked = 0
+        for name in ("gtx470", "gtx280"):
+            device = make_device(name)
+            for m in (1, 4, 32):
+                for n in (1 << 6, 1 << 10, 1 << 14, 1 << 18):
+                    switch = tuner.switch_points(device, m, n, 8)
+                    fragment = lower_solve_plan(
+                        plan_solve(device, m, n, 8, switch), device, 8
+                    )
+                    program = concat_solve_programs([fragment] * 3)
+                    engine = Engine.for_device(device)
+                    solve = engine.price(program)
+                    dist = engine.price(replace(program, kind="dist"))
+                    assert dist.total_ms == solve.total_ms
+                    assert dist.trace == solve.trace
+                    checked += 1
+        assert checked == 24
 
     def test_trace_is_in_program_order(self):
         # The trace lists steps by program index, although the scheduler

@@ -1,7 +1,7 @@
 """Docs-integrity gate: the documentation may not drift from the repo.
 
 Four invariants over ``docs/*.md`` plus the README, all cheap enough
-for the fast tier:
+for the fast tier, and a check that two printed CLI samples are current:
 
 - every **relative link** resolves to a real file (anchors stripped;
   external ``http(s)``/``mailto`` links are out of scope — no network),
@@ -11,7 +11,9 @@ for the fast tier:
   that belongs to other tools) is accepted by ``repro`` — it appears in
   the top-level or some subcommand's ``--help`` text,
 - every backticked dotted **``repro.…`` name** resolves by import and
-  ``getattr``, so the docs never name removed API.
+  ``getattr``, so the docs never name removed API;
+- the **CLI samples** of ``repro trace`` (observability) and ``repro
+  dist-bench`` (distributed) print the summary line the docs show.
 
 Executable python fences are covered separately by
 ``test_docs_snippets.py``; this gate is about references, not code.
@@ -150,3 +152,35 @@ def test_documented_repro_names_resolve(doc):
     assert not unresolved, (
         f"{doc.name}: names that do not resolve {unresolved}"
     )
+
+
+@pytest.mark.parametrize(
+    "doc, command, output_flag, marker",
+    [
+        (
+            "docs/observability.md",
+            "python -m repro trace --n 2**20 --devices 4",
+            ["--out", "trace"],
+            "trace    :",
+        ),
+        (
+            "docs/distributed.md",
+            "repro dist-bench --devices 1,2,4,8,16 --size 4194304",
+            ["--json", "out.json"],
+            "makespan",
+        ),
+    ],
+    ids=["trace", "dist-bench"],
+)
+def test_cli_samples_match_the_output(doc, command, output_flag, marker, tmp_path):
+    # The first ``marker`` line after the documented command is its
+    # sample output; the command must print exactly that line now.
+    lines = (REPO / doc).read_text().splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith(command))
+    sample = next(line for line in lines[at:] if marker in line)
+    argv = command.split("repro ", 1)[1].split()
+    argv += [output_flag[0], str(tmp_path / output_flag[1])]
+    buf = io.StringIO()
+    assert main(argv, out=buf) == 0
+    printed = [line for line in buf.getvalue().splitlines() if marker in line]
+    assert sample in printed, f"{doc}: sample {sample!r}, printed {printed}"
