@@ -2,7 +2,7 @@
 
 from .cr import cr_forward_levels, cr_solve
 from .cyclic import CyclicTridiagonalBatch, cyclic_solve
-from .factorized import PcrThomasFactorization, factorize
+from .factorized import factorize
 from .refinement import RefinementResult, mixed_precision_solve
 from .spike import spike_solve, truncated_spike_solve
 from .cr_pcr import cr_pcr_solve
@@ -16,7 +16,6 @@ from .thomas import thomas_solve, thomas_workspace_solve
 from .verify import assert_solution, default_tolerance, max_residual
 
 __all__ = [
-    "PcrThomasFactorization",
     "factorize",
     "CyclicTridiagonalBatch",
     "cyclic_solve",

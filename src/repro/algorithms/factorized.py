@@ -1,102 +1,22 @@
-"""Reusable factorization of the PCR-Thomas pipeline.
-
-Applications like ADI time-stepping solve against the *same* tridiagonal
-matrix every step with a fresh right-hand side. The PCR splitting
-coefficients (``alpha``, ``gamma`` per step) and the split subsystems' LU
-factors depend only on the matrix, so they can be computed once:
-subsequent solves only transform the RHS — about a third of the
-arithmetic and half the memory traffic of a full solve.
-
-:class:`PcrThomasFactorization` captures that state for any split depth;
-:func:`factorize` builds it from a batch.
-"""
+"""Reusable factorization of the PCR-Thomas solve, for applications
+(ADI stepping, implicit option pricing) that solve one matrix against a
+fresh right-hand side every step: the split chain's matrix passes run
+once, and each solve replays only its right-hand-side passes (see
+:class:`~repro.kernels.chain.FactoredChain`)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Tuple
-
-import numpy as np
-
+from ..kernels.chain import FactoredChain
 from ..systems.tridiagonal import TridiagonalBatch
 from ..util.errors import ShapeError
 from ..util.validation import check_power_of_two, ilog2
-from .lu import TridiagonalLU, lu_factor, lu_solve_factored
-from .pcr import _gather, _scatter, pcr_step
 
-__all__ = ["PcrThomasFactorization", "factorize"]
-
-
-@dataclass(frozen=True)
-class PcrThomasFactorization:
-    """Matrix-only state of the hybrid solve.
-
-    ``steps`` holds, per PCR level, the ``(alpha, gamma)`` elimination
-    coefficients at that level's stride; ``lu`` factors the ``2^k``-way
-    split subsystems. ``solve`` applies them to any right-hand side.
-    """
-
-    shape: Tuple[int, int]
-    split_depth: int
-    steps: List[Tuple[np.ndarray, np.ndarray]]
-    lu: TridiagonalLU
-
-    def solve(self, d: np.ndarray) -> np.ndarray:
-        """Solve ``A x = d`` for a new RHS using the cached factors."""
-        d = np.asarray(d)
-        if d.shape != self.shape:
-            raise ShapeError(f"d has shape {d.shape}, expected {self.shape}")
-        stride = 1
-        for alpha, gamma in self.steps:
-            pad = ((0, 0), (stride, stride))
-            dp = np.pad(d, pad)
-            d = d + alpha * dp[:, : d.shape[1]] + gamma * dp[:, 2 * stride :]
-            stride *= 2
-        d_split = _gather(d, self.split_depth) if self.split_depth else d
-        x = lu_solve_factored(self.lu, d_split)
-        return _scatter(x, self.split_depth) if self.split_depth else x
-
-    def solve_many(self, d_stack: np.ndarray) -> np.ndarray:
-        """Solve against a stack of right-hand sides, shape ``(r, m, n)``.
-
-        All ``r`` RHS sets go through the factor application in one
-        batched pass (the multiple-RHS pattern of ADI and pricing codes).
-        """
-        d_stack = np.asarray(d_stack)
-        if d_stack.ndim != 3 or d_stack.shape[1:] != self.shape:
-            raise ShapeError(
-                f"d_stack must be (r, {self.shape[0]}, {self.shape[1]}), "
-                f"got {d_stack.shape}"
-            )
-        r = d_stack.shape[0]
-        flat = d_stack.reshape(r * self.shape[0], self.shape[1])
-        # The step coefficients tile across the stacked systems.
-        stride = 1
-        for alpha, gamma in self.steps:
-            alpha_t = np.tile(alpha, (r, 1))
-            gamma_t = np.tile(gamma, (r, 1))
-            pad = ((0, 0), (stride, stride))
-            dp = np.pad(flat, pad)
-            flat = (
-                flat
-                + alpha_t * dp[:, : flat.shape[1]]
-                + gamma_t * dp[:, 2 * stride :]
-            )
-            stride *= 2
-        d_split = _gather(flat, self.split_depth) if self.split_depth else flat
-        lu_tiled = TridiagonalLU(
-            l=np.tile(self.lu.l, (r, 1)),
-            u=np.tile(self.lu.u, (r, 1)),
-            c=np.tile(self.lu.c, (r, 1)),
-        )
-        x = lu_solve_factored(lu_tiled, d_split)
-        x = _scatter(x, self.split_depth) if self.split_depth else x
-        return x.reshape(r, self.shape[0], self.shape[1])
+__all__ = ["factorize"]
 
 
 def factorize(
     batch: TridiagonalBatch, split_depth: int | None = None
-) -> PcrThomasFactorization:
+) -> FactoredChain:
     """Factor ``batch``'s matrix for repeated solves.
 
     ``split_depth`` is the number of PCR levels before the Thomas phase
@@ -111,28 +31,4 @@ def factorize(
         raise ShapeError(
             f"split_depth {split_depth} invalid for system size {n}"
         )
-
-    a, b, c = batch.a, batch.b, batch.c
-    d = np.zeros_like(b)
-    steps: List[Tuple[np.ndarray, np.ndarray]] = []
-    stride = 1
-    for _ in range(split_depth):
-        pad = ((0, 0), (stride, stride))
-        b_lo = np.pad(b, pad, constant_values=1)[:, : b.shape[1]]
-        b_hi = np.pad(b, pad, constant_values=1)[:, 2 * stride :]
-        alpha = -a / b_lo
-        gamma = -c / b_hi
-        steps.append((alpha, gamma))
-        a, b, c, d = pcr_step(a, b, c, d, stride)
-        stride *= 2
-
-    split = TridiagonalBatch(
-        _gather(a, split_depth),
-        _gather(b, split_depth),
-        _gather(c, split_depth),
-        _gather(d, split_depth),
-    ) if split_depth else TridiagonalBatch(a, b, c, d)
-    lu = lu_factor(split)
-    return PcrThomasFactorization(
-        shape=batch.shape, split_depth=split_depth, steps=steps, lu=lu
-    )
+    return FactoredChain(batch, split_depth)

@@ -3,10 +3,11 @@
 Egloff's GPU PDE solvers (cited in the paper's introduction) target
 exactly this workload: backward-in-time parabolic PDEs whose implicit
 time steps are tridiagonal solves. This module prices batches of
-European options on a log-price grid with backward Euler, reusing one
-:class:`~repro.algorithms.factorized.PcrThomasFactorization` across all
-time steps (the matrix is time-independent), and validates against the
-Black-Scholes closed form (tested).
+European options on a log-price grid with backward Euler, factoring
+the time-independent matrix once with
+:func:`~repro.algorithms.factorized.factorize` and replaying only the
+right-hand-side passes of the split chain each time step, and validates
+against the Black-Scholes closed form (tested).
 
 PDE in log-price ``y = ln S``:
 

@@ -21,7 +21,7 @@ import numpy as np
 from ..algorithms.verify import assert_solution
 from ..gpu.executor import Device, SimReport, make_device
 from ..ir.engine import Engine
-from ..ir.instructions import signature_text
+from ..ir.instructions import Program, signature_text
 from ..kernels import dtype_size
 from ..systems.tridiagonal import SharedMatrixBatch, TridiagonalBatch
 from ..util.errors import ConfigurationError
@@ -78,7 +78,7 @@ class MultiStageSolver:
                 f"fuse must be False, True, or 'auto'; got {fuse!r}"
             )
         self.fuse = fuse
-        self._fuse_choice: Dict[Tuple, bool] = {}
+        self._programs: Dict[Tuple, Program] = {}
         self._engine = Engine.for_device(self.device)
         # Optional observability: an obs.Tracer records a solve span per
         # execute_plan with the engine's program/instruction/kernel spans
@@ -140,31 +140,30 @@ class MultiStageSolver:
 
     # -- execution -------------------------------------------------------------
 
-    def _program_for(self, plan: SolvePlan, dsize: int):
+    def _program_for(self, plan: SolvePlan, dsize: int) -> Program:
         """The program :meth:`execute_plan` runs, honouring ``fuse``.
 
-        In ``"auto"`` mode both lowerings are priced on a bare engine
-        (no fault injector, no tracer — selection must not pollute the
-        fault log or the span tree) and the cheaper one runs; the
-        verdict is memoised per (signature, count, dtype). Fused and
-        unfused solutions are bit-identical, so the choice only moves
-        simulated time.
+        Each program is lowered once and memoised per (signature, count,
+        dtype size), which fixes the plan. In ``"auto"`` mode both
+        lowerings are priced on a bare engine (no fault injector, no
+        tracer — selection must not pollute the fault log or the span
+        tree) and the cheaper one is kept. Fused and unfused solutions
+        are bit-identical, so the choice only moves simulated time.
         """
-        if self.fuse == "auto":
-            key = (plan.signature, plan.num_systems, dsize)
-            choice = self._fuse_choice.get(key)
-            if choice is None:
+        key = (plan.signature, plan.num_systems, dsize)
+        program = self._programs.get(key)
+        if program is None:
+            if self.fuse == "auto":
                 pricer = Engine.for_device(self.device)
-                unfused_ms = pricer.price(
-                    plan.lower(self.device, dsize)
-                ).total_ms
-                fused_ms = pricer.price(
-                    plan.lower(self.device, dsize, fuse=True)
-                ).total_ms
-                choice = fused_ms < unfused_ms
-                self._fuse_choice[key] = choice
-            return plan.lower(self.device, dsize, fuse=choice)
-        return plan.lower(self.device, dsize, fuse=bool(self.fuse))
+                unfused = plan.lower(self.device, dsize)
+                fused = plan.lower(self.device, dsize, fuse=True)
+                unfused_ms = pricer.price(unfused).total_ms
+                fused_ms = pricer.price(fused).total_ms
+                program = fused if fused_ms < unfused_ms else unfused
+            else:
+                program = plan.lower(self.device, dsize, fuse=self.fuse)
+            self._programs[key] = program
+        return program
 
     def solve(
         self,

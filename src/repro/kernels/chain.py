@@ -28,15 +28,18 @@ fails identically: a pivot failure is reported against the subsystem's
 index in the nested-gather order.
 
 A batch whose ``d`` holds ``r`` right-hand-side planes against one
-matrix (SPIKE's data and two spikes) is ``r·m`` logical systems. The
-chain computes each tile's ``alpha``, ``gamma`` and new ``a``, ``b``,
-``c``, and each Thomas row's pivot and ``c'``, once, then applies them
-to every plane: the same values the ``r``-fold tiled batch would
-recompute per copy, so each plane is bit-identical to its systems in the
-tiled solve, for ``10 + 4r`` instead of ``14r`` ufunc calls per PCR
-segment and ``3 + 3r`` instead of ``6r`` per forward Thomas row. Planes
-after the first run behind a guard, after the single-plane code, so a
-single-plane solve makes the same calls as if planes did not exist.
+matrix (SPIKE's data and two spikes) is ``r·m`` logical systems. Each
+step is a *matrix pass* and then a *plane pass*: a PCR segment computes
+its ``alpha``, ``gamma`` and new ``a``, ``b``, ``c`` (10 ufunc calls),
+then updates every ``d`` plane with them (4 calls each); a Thomas row
+computes its pivot and ``c'`` (3 calls), then every plane's ``d'`` (3
+each), and back substitution is plane work alone. These are the values
+the ``r``-fold tiled batch would recompute per copy, so each plane is
+bit-identical to its systems in the tiled solve. :class:`FactoredChain`
+runs one matrix's passes once and keeps what the plane passes read:
+each PCR step's ``alpha`` and ``gamma``, and the Thomas ``a``, pivot
+and ``c'`` rows. Its solves replay only the plane passes, so they are
+bit-identical to the full chain by construction.
 
 A chain owns two ping-pong buffer sets for all its steps and runs each
 step tile by tile, so the per-step scratch stays in cache. It never
@@ -47,17 +50,18 @@ them.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..algorithms.pcr_thomas import normalize_thomas_switch
 from ..algorithms.thomas import _pivot_floor
 from ..systems.batched import BatchedTridiagonal
+from ..systems.tridiagonal import TridiagonalBatch
 from ..util.errors import ConfigurationError, ShapeError, SingularSystemError
 from ..util.validation import ilog2
 
-__all__ = ["SplitChain"]
+__all__ = ["SplitChain", "FactoredChain"]
 
 # Elements per tile of a PCR step: the alpha/gamma/tmp scratch and the
 # tile's neighbour reads stay in cache.
@@ -84,6 +88,7 @@ class SplitChain:
         self.n, self.m = b.shape
         self.planes = len(self._arrays) - 3
         self.dtype = b.dtype
+        self._floor = _pivot_floor(self.dtype)
         self.groups = 1  # subsystems per system so far
         self._radices: List[int] = []  # 2**k of every split, in order
 
@@ -103,6 +108,11 @@ class SplitChain:
 
     def split(self, steps: int) -> None:
         """Split every subsystem into ``2**steps`` by PCR, in place."""
+        self._split(steps, None)
+
+    def _split(self, steps: int, kept: Optional[list]) -> None:
+        """:meth:`split`; given a list ``kept``, each step appends its
+        full-length ``(alpha, gamma, off)`` to it."""
         if steps < 0:
             raise ConfigurationError("split steps must be >= 0")
         if steps == 0:
@@ -116,11 +126,17 @@ class SplitChain:
         stride = self.groups
         for _ in range(steps):
             dst = self._spare or self._buffers(len(self._arrays))
+            off = stride * self.m
+            coeffs = None
+            if kept is not None:
+                coeffs = [buf.reshape(-1) for buf in self._buffers(2)]
+                kept.append((*coeffs, off))
             _pcr_step(
                 [arr.reshape(-1) for arr in self._arrays],
                 [arr.reshape(-1) for arr in dst],
-                stride * self.m,
+                off,
                 scratch,
+                coeffs,
             )
             self._spare = self._arrays if self._owned else None
             self._arrays, self._owned = dst, True
@@ -151,44 +167,15 @@ class SplitChain:
         a, b, c, *ds = (arr.reshape(rows, width) for arr in self._arrays)
         scratch = self._spare or self._buffers(1 + self.planes)
         cp, *dps = (buf.reshape(rows, width) for buf in scratch[: 1 + self.planes])
-        d, dp = ds[0], dps[0]
-        more = list(zip(ds[1:], dps[1:]))
         x = np.empty((self.planes, rows, width), dtype=self.dtype)
-        beta = np.empty(width, dtype=self.dtype)
-        tmp = np.empty_like(beta)
-        floor = _pivot_floor(self.dtype)
-
-        np.copyto(beta, b[0])
-        if check:
-            self._check_pivots(beta, 0, floor)
-        np.divide(c[0], beta, out=cp[0])
-        np.divide(d[0], beta, out=dp[0])
-        for dk, dpk in more:
-            np.divide(dk[0], beta, out=dpk[0])
-        for i in range(1, rows):
-            np.multiply(a[i], cp[i - 1], out=tmp)
-            np.subtract(b[i], tmp, out=beta)
-            if check:
-                self._check_pivots(beta, i, floor)
-            np.divide(c[i], beta, out=cp[i])
-            np.multiply(a[i], dp[i - 1], out=tmp)
-            np.subtract(d[i], tmp, out=tmp)
-            np.divide(tmp, beta, out=dp[i])
-            if more:  # skips building the loop for the single-plane case
-                for dk, dpk in more:
-                    np.multiply(a[i], dpk[i - 1], out=tmp)
-                    np.subtract(dk[i], tmp, out=tmp)
-                    np.divide(tmp, beta, out=dpk[i])
-
-        for xk, dp in zip(x, dps):
-            xk[-1] = dp[-1]
-            for i in range(rows - 2, -1, -1):
-                np.multiply(cp[i], xk[i + 1], out=tmp)
-                np.subtract(dp[i], tmp, out=xk[i])
+        # One pivot row, reused: nothing replays it.
+        betas = [np.empty(width, dtype=self.dtype)] * rows
+        check = self._check_pivots if check else None
+        _sweep(a, betas, cp, list(zip(ds, dps)), x, (b, c, check))
         return x.reshape(self._rhs_shape)
 
-    def _check_pivots(self, beta: np.ndarray, row: int, floor: float) -> None:
-        bad = np.abs(beta) <= floor
+    def _check_pivots(self, beta: np.ndarray, row: int) -> None:
+        bad = np.abs(beta) <= self._floor
         if not bad.any():
             return
         # Column w of the sweep is residue r = w // m of system w % m;
@@ -206,50 +193,145 @@ class SplitChain:
         )
 
 
-def _pcr_step(src, dst, off, scratch) -> None:
+class FactoredChain:
+    """The matrix passes of a row-major ``(m, n)`` batch's chain, ``steps``
+    PCR levels then Thomas, run once (every pivot checked; ``d`` is not
+    read) and kept: its solves load right-hand sides as chain planes and
+    replay only the plane passes, bit-identical to
+    ``pcr_thomas_solve`` with ``2**steps`` subsystems."""
+
+    def __init__(self, batch: TridiagonalBatch, steps: int):
+        m, n = self.shape = batch.shape
+        matrix = (np.array(arr.T, order="C") for arr in (batch.a, batch.b, batch.c))
+        chain = SplitChain((*matrix, np.empty((0, n, m), dtype=batch.dtype)), owned=True)
+        self._steps: List[Tuple[np.ndarray, np.ndarray, int]] = []
+        chain._split(steps, self._steps)
+        self._a, b, c = (arr.reshape(n >> steps, m << steps) for arr in chain._arrays)
+        self._beta, self._cp = np.empty((2,) + self._a.shape, dtype=batch.dtype)
+        _sweep(self._a, list(self._beta), self._cp, [], [], (b, c, chain._check_pivots))
+
+    def solve(self, d: np.ndarray) -> np.ndarray:
+        """Solve ``A x = d`` for one ``(m, n)`` right-hand side."""
+        d = np.asarray(d)
+        if d.shape != self.shape:
+            raise ShapeError(f"d has shape {d.shape}, expected {self.shape}")
+        return self.solve_many(d[None])[0]
+
+    def solve_many(self, d_stack: np.ndarray) -> np.ndarray:
+        """Solve against an ``(r, m, n)`` stack of right-hand sides in
+        one replay (the multiple-RHS pattern of ADI and pricing codes)."""
+        d_stack = np.asarray(d_stack, dtype=self._a.dtype)
+        if d_stack.ndim != 3 or d_stack.shape[1:] != self.shape:
+            raise ShapeError(
+                f"d_stack must be (r, {self.shape[0]}, {self.shape[1]}), "
+                f"got {d_stack.shape}"
+            )
+        # (r, n, m) planes, a private copy the steps ping-pong.
+        planes = np.array(np.swapaxes(d_stack, 1, 2), order="C").reshape(len(d_stack), -1)
+        spare = np.empty_like(planes)
+        tmp = np.empty(_TILE, dtype=planes.dtype)
+        for alpha, gamma, off in self._steps:
+            for cur, lo, hi in _segments(planes.shape[1], off):
+                coeffs = alpha[cur], gamma[cur], tmp[: cur.stop - cur.start]
+                _update_planes(planes, spare, cur, lo, hi, *coeffs)
+            planes, spare = spare, planes
+        ds = planes.reshape((-1,) + self._a.shape)
+        # Back substitution reads only d', so x may overwrite d.
+        dps = spare.reshape(ds.shape)
+        _sweep(self._a, list(self._beta), self._cp, list(zip(ds, dps)), ds)
+        m, n = self.shape
+        return np.ascontiguousarray(np.swapaxes(planes.reshape(-1, n, m), 1, 2))
+
+
+def _sweep(a, betas, cp, planes, x, matrix=None) -> None:
+    """Thomas over ``(rows, width)`` views: each row's matrix part, given
+    ``matrix = (b, c, check or None)``, writes its pivot to ``betas[row]``
+    and ``c'`` to ``cp``, then its plane part runs each ``(d, d')`` pair
+    of ``planes`` on that pivot; ``x`` takes one solution per plane. Per
+    array these are :func:`~repro.algorithms.thomas.thomas_solve`'s
+    operations in its order."""
+    rows, width = a.shape
+    tmp = np.empty(width, dtype=a.dtype)
+    # Row views, built once: indexing a list is cheaper than an array.
+    a, cp = list(a), list(cp)
+    planes = [(list(d), list(dp)) for d, dp in planes]
+    if matrix is not None:
+        b, c, check = matrix
+        b, c = list(b), list(c)
+        np.copyto(betas[0], b[0])
+        if check is not None:
+            check(betas[0], 0)
+        np.divide(c[0], betas[0], out=cp[0])
+    for d, dp in planes:
+        np.divide(d[0], betas[0], out=dp[0])
+    for i in range(1, rows):
+        beta = betas[i]
+        if matrix is not None:
+            np.multiply(a[i], cp[i - 1], out=tmp)
+            np.subtract(b[i], tmp, out=beta)
+            if check is not None:
+                check(beta, i)
+            np.divide(c[i], beta, out=cp[i])
+        for d, dp in planes:
+            np.multiply(a[i], dp[i - 1], out=tmp)
+            np.subtract(d[i], tmp, out=tmp)
+            np.divide(tmp, beta, out=dp[i])
+
+    for xk, (_, dp) in zip(x, planes):
+        xk = list(xk)
+        np.copyto(xk[-1], dp[-1])
+        for i in range(rows - 2, -1, -1):
+            np.multiply(cp[i], xk[i + 1], out=tmp)
+            np.subtract(dp[i], tmp, out=xk[i])
+
+
+def _segments(length: int, off: int):
+    """``(cur, lo, hi)`` per segment of a PCR step coupling positions
+    ``off`` apart: the tile slice it updates and its neighbours' slices,
+    ``None`` outside the system, where tiles are cut."""
+    for start in range(0, length, _TILE):
+        stop = min(start + _TILE, length)
+        edges = {e for e in (off, length - off) if start < e < stop}
+        cuts = sorted({start, stop} | edges)
+        for x0, x1 in zip(cuts, cuts[1:]):
+            yield (
+                slice(x0, x1),
+                None if x0 < off else slice(x0 - off, x1 - off),
+                None if x1 > length - off else slice(x0 + off, x1 + off),
+            )
+
+
+def _pcr_step(src, dst, off, scratch, kept=None) -> None:
     """One PCR step from ``src`` into ``dst``, flat ``a, b, c`` and one
     ``d`` per right-hand-side plane each, coupling positions ``off``
-    apart.
+    apart: per segment the matrix pass, then the plane pass.
 
     Per element this is exactly :func:`repro.algorithms.pcr.pcr_step`:
     the first and last ``off`` positions read the identity equation
     ``(0, 1, 0, 0)`` for their missing neighbour, as scalars, where the
-    reference reads ``np.pad``'s fill.
+    reference reads ``np.pad``'s fill. Given full-length ``kept =
+    (alpha, gamma)``, the coefficients land there, not in the scratch.
     """
-    length = src[1].size
-    identity = tuple(scratch.dtype.type(v) for v in (0, 1, 0, 0))
-    src, dst, more_src, more_dst = src[:4], dst[:4], src[4:], dst[4:]
-    for lo in range(0, length, _TILE):
-        hi = min(lo + _TILE, length)
-        edges = {e for e in (off, length - off) if lo < e < hi}
-        cuts = sorted({lo, hi} | edges)
-        for x0, x1 in zip(cuts, cuts[1:]):
-            below = (
-                identity if x0 < off
-                else [arr[x0 - off : x1 - off] for arr in src]
-            )
-            above = (
-                identity if x1 > length - off
-                else [arr[x0 + off : x1 + off] for arr in src]
-            )
-            _update(
-                [arr[x0:x1] for arr in src],
-                below,
-                above,
-                [arr[x0:x1] for arr in dst],
-                scratch,
-            )
-            if more_src:
-                _update_planes(more_src, more_dst, x0, x1, off, scratch)
+    identity = tuple(scratch.dtype.type(v) for v in (0, 1, 0))
+    matrix, planes, out = src[:3], src[3:], dst[:3]
+    for cur, lo, hi in _segments(src[1].size, off):
+        alpha, gamma, tmp = scratch[:, : cur.stop - cur.start]
+        if kept is not None:
+            alpha, gamma = (arr[cur] for arr in kept)
+        below = identity if lo is None else [arr[lo] for arr in matrix]
+        above = identity if hi is None else [arr[hi] for arr in matrix]
+        here = [arr[cur] for arr in matrix]
+        _update(here, below, above, [arr[cur] for arr in out], alpha, gamma, tmp)
+        _update_planes(planes, dst[3:], cur, lo, hi, alpha, gamma, tmp)
 
 
-def _update(cur, below, above, out, scratch) -> None:
-    """``out = pcr_step(cur)`` for one tile, with the same operations in
-    the same order as the reference."""
-    a, b, c, d = cur
-    a_lo, b_lo, c_lo, d_lo = below
-    a_hi, b_hi, c_hi, d_hi = above
-    alpha, gamma, tmp = (buf[: b.size] for buf in scratch)
+def _update(cur, below, above, out, alpha, gamma, tmp) -> None:
+    """The matrix pass of one segment: ``alpha``, ``gamma`` and ``out =
+    (a', b', c')`` of :func:`~repro.algorithms.pcr.pcr_step`, with the
+    same operations in the same order as the reference."""
+    a, b, c = cur
+    a_lo, b_lo, c_lo = below
+    a_hi, b_hi, c_hi = above
     np.negative(a, out=alpha)
     np.divide(alpha, b_lo, out=alpha)
     np.negative(c, out=gamma)
@@ -260,24 +342,17 @@ def _update(cur, below, above, out, scratch) -> None:
     np.multiply(gamma, a_hi, out=tmp)
     np.add(out[1], tmp, out=out[1])
     np.multiply(gamma, c_hi, out=out[2])
-    np.multiply(alpha, d_lo, out=tmp)
-    np.add(d, tmp, out=out[3])
-    np.multiply(gamma, d_hi, out=tmp)
-    np.add(out[3], tmp, out=out[3])
 
 
-def _update_planes(src, dst, x0, x1, off, scratch) -> None:
-    """The ``d`` update of :func:`_update` on positions ``[x0, x1)`` of
-    every further plane, with the tile's ``alpha`` and ``gamma`` that
-    :func:`_update` left in ``scratch``."""
-    length = src[0].size
-    zero = scratch.dtype.type(0)
-    alpha, gamma, tmp = (buf[: x1 - x0] for buf in scratch)
-    for arr, out in zip(src, dst):
-        d_lo = zero if x0 < off else arr[x0 - off : x1 - off]
-        d_hi = zero if x1 > length - off else arr[x0 + off : x1 + off]
-        out = out[x0:x1]
-        np.multiply(alpha, d_lo, out=tmp)
-        np.add(arr[x0:x1], tmp, out=out)
-        np.multiply(gamma, d_hi, out=tmp)
+def _update_planes(src, dst, cur, lo, hi, alpha, gamma, tmp) -> None:
+    """The plane pass of one segment: the ``d`` update of
+    :func:`~repro.algorithms.pcr.pcr_step` on positions ``cur`` of every
+    plane, from the segment's ``alpha`` and ``gamma``. A neighbour slice
+    of ``None`` reads the identity equation's ``d = 0``, a Python float
+    that computes in the planes' dtype."""
+    for d, out in zip(src, dst):
+        out = out[cur]
+        np.multiply(alpha, 0.0 if lo is None else d[lo], out=tmp)
+        np.add(d[cur], tmp, out=out)
+        np.multiply(gamma, 0.0 if hi is None else d[hi], out=tmp)
         np.add(out, tmp, out=out)

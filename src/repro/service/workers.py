@@ -200,7 +200,9 @@ class BatchSolveService:
         self._solvers: Dict[Tuple[str, int], MultiStageSolver] = {}
         self._plans: Dict[Tuple[str, int, int, int], SolvePlan] = {}
         self._signatures: Dict[Tuple, Tuple] = {}
-        self._group_futures: List[Future] = []
+        # Dispatched groups' futures until each succeeds; a failed one
+        # stays for drain() to re-raise. A dict keeps dispatch order.
+        self._group_futures: Dict[Future, None] = {}
         self._closed = False
         self._dist_config = dist
         self._dist_solver: Optional[DistributedSolver] = None
@@ -489,8 +491,16 @@ class BatchSolveService:
         for group in groups:
             fut = self.fleet.submit(self._run_group, group)
             with self._lock:
-                self._group_futures.append(fut)
+                self._group_futures[fut] = None
+            fut.add_done_callback(self._release_group)
         return len(groups)
+
+    def _release_group(self, fut: Future) -> None:
+        """Forget a group's future once it succeeded; keep a failed or
+        cancelled one so that :meth:`drain` re-raises it."""
+        if not fut.cancelled() and fut.exception() is None:
+            with self._lock:
+                self._group_futures.pop(fut, None)
 
     def _run_group(self, group: SolveGroup) -> None:
         """Worker body: one merged solve, fanned back out to futures."""
@@ -665,7 +675,8 @@ class BatchSolveService:
     # -- lifecycle ------------------------------------------------------------
 
     def drain(self) -> None:
-        """Block until every dispatched group has finished."""
+        """Block until every dispatched group has finished; re-raise the
+        first failure of a group since the last drain."""
         with self._lock:
             futures = list(self._group_futures)
             self._group_futures.clear()

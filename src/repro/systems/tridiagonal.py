@@ -225,8 +225,7 @@ class SharedMatrixBatch:
 
     ``a``, ``b`` and ``c`` are ``(m, n)`` as in :class:`TridiagonalBatch`;
     ``d`` is an ``(r, m, n)`` stack of right-hand-side planes, the
-    convention of
-    :meth:`~repro.algorithms.factorized.PcrThomasFactorization.solve_many`.
+    convention of :meth:`~repro.kernels.chain.FactoredChain.solve_many`.
     It stands for the row-major batch :meth:`tiled` builds, ``r·m``
     systems with plane ``k`` as systems ``[k·m, (k+1)·m)``, and reports
     that batch's shape and bytes, so prices and memory-fit checks see

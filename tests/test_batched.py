@@ -25,6 +25,7 @@ from repro.faults import (
 )
 from repro.gpu import make_device
 from repro.ir import Engine
+from repro.ir import lower as ir_lower
 from repro.kernels import SplitChain, dtype_size
 from repro.obs import Tracer
 from repro.service import BatchSolveService
@@ -219,14 +220,45 @@ class TestFusedSolveParity:
             batch = generators.random_dominant(m, n, rng=m + n)
             result = solver.solve(batch)
             assert result.report.total_ms == min(unfused_ms, fused_ms)
-            # The choice is memoised per (signature, count, dsize).
-            assert solver._fuse_choice
+            # The chosen program is memoised per (signature, count, dsize).
+            assert list(solver._programs.values()) == [
+                plan.lower(device, 8, fuse=fused_ms < unfused_ms)
+            ]
         # And auto never changes the answer.
         switch = _static_switch(device, 16, 4096, 8)
         batch = generators.random_dominant(16, 4096, rng=4112)
         unfused = MultiStageSolver(device, switch, fuse=False).solve(batch)
         auto = MultiStageSolver(device, switch, fuse="auto").solve(batch)
         np.testing.assert_array_equal(auto.x, unfused.x)
+
+    @pytest.mark.parametrize("fuse", [False, True, "auto"])
+    def test_each_program_is_lowered_once(self, monkeypatch, fuse):
+        """Auto lowers and prices both programs on a key's first call;
+        no mode lowers or prices again on a repeat call."""
+        counts = {"lower": 0, "price": 0}
+        lower, price = ir_lower.lower_solve_plan, Engine.price
+
+        def counted_lower(*args, **kwargs):
+            counts["lower"] += 1
+            return lower(*args, **kwargs)
+
+        def counted_price(self, *args, **kwargs):
+            counts["price"] += 1
+            return price(self, *args, **kwargs)
+
+        monkeypatch.setattr(ir_lower, "lower_solve_plan", counted_lower)
+        monkeypatch.setattr(Engine, "price", counted_price)
+        device = make_device("gtx470")
+        switch = _static_switch(device, 8, 512, 8)
+        solver = MultiStageSolver(device, switch, fuse=fuse)
+        batch = generators.random_dominant(8, 512, rng=8)
+        plan = solver.plan_for(batch)
+        first = solver.execute_plan(batch, plan, switch)
+        both = 2 if fuse == "auto" else 0
+        assert counts == {"lower": max(both, 1), "price": both}
+        again = solver.execute_plan(batch, plan, switch)
+        assert counts == {"lower": max(both, 1), "price": both}
+        np.testing.assert_array_equal(again.x, first.x)
 
 
 # ---------------------------------------------------------------------------

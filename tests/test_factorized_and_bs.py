@@ -12,7 +12,14 @@ from repro.algorithms import (
 )
 from repro.apps import BlackScholesPricer, black_scholes_closed_form
 from repro.systems import generators
-from repro.util.errors import ConfigurationError, ShapeError
+from repro.systems.tridiagonal import TridiagonalBatch
+from repro.util.errors import ConfigurationError, ShapeError, SingularSystemError
+from repro.util.validation import ilog2
+from tests.conftest import examples
+
+
+def _bits(x):
+    return x.view(np.int32 if x.dtype == np.float32 else np.int64)
 
 
 class TestFactorization:
@@ -43,12 +50,47 @@ class TestFactorization:
         """Same split depth -> numerically the same algorithm."""
         batch = generators.random_dominant(2, 256, rng=3)
         factors = factorize(batch, split_depth=4)
-        np.testing.assert_allclose(
-            factors.solve(batch.d),
-            pcr_thomas_solve(batch, 16),
-            atol=1e-12,
-            rtol=1e-12,
-        )
+        assert np.array_equal(factors.solve(batch.d), pcr_thomas_solve(batch, 16))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("m,n", [(1, 4), (3, 64), (5, 512)])
+    def test_bit_identical_to_hybrid_at_every_depth(self, dtype, m, n):
+        """A factored solve replays the chain's plane passes: the hybrid's
+        bits at every depth, and ``solve_many`` row by row."""
+        batch = generators.random_dominant(m, n, rng=n + m, dtype=dtype)
+        stack = np.random.default_rng(n).standard_normal((3, m, n)).astype(dtype)
+        for depth in range(ilog2(n) + 1):
+            factors = factorize(batch, split_depth=depth)
+            many = factors.solve_many(stack)
+            for d, x in zip(stack, many):
+                expected = pcr_thomas_solve(batch.with_rhs(d), 1 << depth)
+                assert _bits(factors.solve(d)).tobytes() == _bits(expected).tobytes()
+                assert _bits(x).tobytes() == _bits(expected).tobytes()
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_never_writes_the_callers_arrays(self, m):
+        batch = generators.random_dominant(m, 256, rng=m)
+        before = [arr.copy() for arr in (batch.a, batch.b, batch.c, batch.d)]
+        factors = factorize(batch, split_depth=3)
+        rhs = 2 * batch.d
+        factors.solve(rhs)
+        factors.solve_many(rhs[None])
+        np.testing.assert_array_equal(rhs, 2 * batch.d)
+        for arr, copy in zip((batch.a, batch.b, batch.c, batch.d), before):
+            np.testing.assert_array_equal(arr, copy)
+
+    def test_singular_matrix_fails_like_the_hybrid(self):
+        batch = generators.random_dominant(3, 128, rng=6)
+        a, b, c = (arr.copy() for arr in (batch.a, batch.b, batch.c))
+        a[2, 77] = b[2, 77] = c[2, 77] = 0
+        batch = TridiagonalBatch(a, b, c, batch.d)
+        with np.errstate(all="ignore"):
+            with pytest.raises(SingularSystemError) as expected:
+                pcr_thomas_solve(batch, 8)
+            with pytest.raises(SingularSystemError) as got:
+                factorize(batch, split_depth=3)
+        assert got.value.args == expected.value.args
+        assert got.value.system_index == expected.value.system_index
 
     def test_shape_validation(self):
         batch = generators.random_dominant(2, 64, rng=4)
@@ -64,7 +106,7 @@ class TestFactorization:
             factorize(batch)
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=examples(20), deadline=None)
 @given(
     n_exp=st.integers(min_value=2, max_value=9),
     depth=st.integers(min_value=0, max_value=5),

@@ -12,18 +12,6 @@ from repro.util.errors import ShapeError
 
 
 class TestSolveMany:
-    def test_matches_per_rhs_solves(self):
-        batch = generators.random_dominant(4, 128, rng=0)
-        factors = factorize(batch)
-        rng = np.random.default_rng(1)
-        stack = rng.standard_normal((5, 4, 128))
-        X = factors.solve_many(stack)
-        assert X.shape == (5, 4, 128)
-        for r in range(5):
-            np.testing.assert_allclose(
-                X[r], factors.solve(stack[r]), atol=1e-12
-            )
-
     def test_residuals(self):
         batch = generators.random_dominant(3, 256, rng=2)
         factors = factorize(batch)

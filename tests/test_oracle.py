@@ -29,7 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.algorithms import default_tolerance, max_residual
+from repro.algorithms import default_tolerance, factorize, max_residual
 from repro.algorithms.padding import pad_pow2, unpad_solution
 from repro.algorithms.pcr import pcr_split, pcr_unsplit_solution
 from repro.algorithms.pcr_thomas import pcr_thomas_solve
@@ -43,7 +43,7 @@ from repro.serve import AsyncSolveService
 from repro.service import BatchSolveService
 from repro.systems import generators
 from repro.systems.tridiagonal import SharedMatrixBatch
-from repro.util.validation import next_power_of_two
+from repro.util.validation import ilog2, is_power_of_two, next_power_of_two
 from tests.conftest import examples
 
 DEVICE = make_device("gtx470")
@@ -176,6 +176,22 @@ def _dist(case, mode, tolerance=None):
     return [(case.batch, result.x)]
 
 
+def _factored(case):
+    """Factor the batch at the PCR depth its plan runs; ``solve`` its own
+    right-hand side and ``solve_many`` the drawn planes."""
+    b = case.batch
+    if not is_power_of_two(b.system_size):
+        return []  # factorize takes power-of-two systems only
+    plan = plan_solve(DEVICE, *b.shape, b.dtype.itemsize, case.switch)
+    split = plan.stage1_steps + plan.stage2_steps
+    depth = split + ilog2(min(plan.thomas_switch, b.system_size >> split))
+    factors = factorize(b, depth)
+    planes = case.shared.d
+    return [(b, factors.solve(b.d))] + [
+        (b.with_rhs(d), x) for d, x in zip(planes, factors.solve_many(planes))
+    ]
+
+
 EXACT, SPIKE, GOVERNED = "exact", "spike", "governed"
 
 # (path, check, how it solves a case)
@@ -188,6 +204,7 @@ PATHS = (
     ("BatchSolveService", EXACT, _batch_service),
     ("AsyncSolveService sync", EXACT, lambda c: _async_service(c, awaited=False)),
     ("AsyncSolveService awaited", EXACT, lambda c: _async_service(c, awaited=True)),
+    ("factorize", EXACT, _factored),
     ("dist batch", EXACT, lambda c: _dist(c, "batch")),
     ("dist rows", SPIKE, lambda c: _dist(c, "rows")),
     ("dist pipelined", SPIKE, lambda c: _dist(c, "pipelined")),

@@ -241,6 +241,29 @@ class TestBatchSolveService:
             svc.drain()
         assert svc.stats.snapshot()["requests_failed"] == 2
 
+    def test_finished_groups_are_released_and_failed_ones_kept(self, monkeypatch):
+        batch = generators.random_dominant(2, 128, rng=0)
+        svc = BatchSolveService(DEVICE, SWITCH, max_workers=2)
+        for _ in range(50):
+            future = svc.submit(batch)
+            svc.flush()
+            future.result(timeout=30)
+        # Without drain(): once the fleet has retired no group is in
+        # flight, so no future may be held.
+        svc.close()
+        assert not svc._group_futures
+
+        def boom(group):
+            raise RuntimeError("injected group failure")
+
+        svc = BatchSolveService(DEVICE, SWITCH, max_workers=2)
+        monkeypatch.setattr(svc, "_run_group", boom)
+        svc.submit(batch)
+        svc.close()
+        with pytest.raises(RuntimeError, match="injected group failure"):
+            svc.drain()
+        svc.drain()  # reported once
+
     def test_singular_rejected_typed_at_submit(self):
         from repro.util.errors import InvalidSystemError
 

@@ -18,7 +18,8 @@ A :class:`SharedMatrixBatch` of ``r`` right-hand-side planes must solve
 and fail exactly like the tiled batch it stands for, priced the same,
 while the chain does the matrix's work once: the operation-count tests
 pin ``10 + 4r`` ufunc calls per PCR segment and ``3 + 3r`` per forward
-Thomas row.
+Thomas row. A factored solve replays the plane passes alone: ``4r`` per
+segment and ``3r`` per forward row.
 """
 
 import tracemalloc
@@ -28,6 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.algorithms import factorize
 from repro.algorithms.padding import pad_pow2
 from repro.core.planner import SolvePlan
 from repro.gpu import make_device
@@ -366,3 +368,33 @@ class TestSharedMatrixWork:
         forward = 3 + 3 * r  # pivot and c' once, d' per plane
         backward = 2 * r
         assert numpy.calls == first + (rows - 1) * (forward + backward)
+
+
+class TestFactoredReplay:
+    """A factored solve replays only the plane passes: ``4r`` ufunc calls
+    per PCR segment, then ``r`` for Thomas row 0 and ``3r`` forward plus
+    ``2r`` backward per further row, and not one matrix-pass call."""
+
+    @pytest.mark.parametrize("planes", [1, 2, 3])
+    def test_replay_calls(self, monkeypatch, planes):
+        m, n, depth = 8, 4096, 3
+        factors = factorize(generators.random_dominant(m, n, rng=9), depth)
+        stack = np.random.default_rng(9).standard_normal((planes, m, n))
+        numpy, segments = _CountingNumpy(), []
+        update_planes = chain._update_planes
+        monkeypatch.setattr(chain, "np", numpy)
+        monkeypatch.setattr(chain, "_update", None)  # no segment's matrix pass
+        monkeypatch.setattr(
+            chain,
+            "_update_planes",
+            lambda *args: (segments.append(1), update_planes(*args)),
+        )
+        if planes == 1:
+            factors.solve(stack[0])
+        else:
+            factors.solve_many(stack)
+        # Two tiles per step, each cut once at an edge of the system.
+        assert len(segments) == depth * 4
+        rows, r = n >> depth, planes
+        thomas = r + (rows - 1) * (3 * r + 2 * r)
+        assert numpy.calls == len(segments) * 4 * r + thomas
