@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from ..systems.tridiagonal import TridiagonalBatch
 from ..util.errors import SingularSystemError
@@ -110,6 +109,8 @@ def scipy_banded_solve(batch: TridiagonalBatch) -> np.ndarray:
     system has no solution, so callers — the escalation ladder
     included — never see an untyped failure.
     """
+    from scipy.linalg import solve_banded
+
     m, n = batch.shape
     x = np.empty((m, n), dtype=batch.dtype)
     ab = np.zeros((3, n), dtype=batch.dtype)

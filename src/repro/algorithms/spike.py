@@ -149,6 +149,11 @@ def spike_rhs(chunk: ChunkSplit) -> SharedMatrixBatch:
     (:meth:`~repro.systems.tridiagonal.SharedMatrixBatch.tiled`): rows
     ``[0, m)``, ``[m, 2m)`` and ``[2m, 3m)`` of its solution are ``y``,
     ``w`` and ``v``.
+
+    Each spike plane is +0 but for one row, the chunk's first or last,
+    and a PCR step at stride ``s`` widens its nonzero rows by only
+    ``s``, so until Thomas the split chain sweeps a spike only over
+    those rows (:mod:`repro.kernels.chain`).
     """
     m, q = chunk.batch.shape
     rhs = np.zeros((3, m, q), dtype=chunk.batch.dtype)

@@ -10,7 +10,6 @@ need no pivoting; a vanishing pivot raises
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_banded as _scipy_solve_banded
 
 from ..util.errors import SingularSystemError
 from .containers import BandedBatch
@@ -63,10 +62,12 @@ def banded_lu_solve(batch: BandedBatch, *, check: bool = True) -> np.ndarray:
 
 def scipy_banded_oracle(batch: BandedBatch) -> np.ndarray:
     """Validation oracle via ``scipy.linalg.solve_banded`` (pivoted)."""
+    from scipy.linalg import solve_banded
+
     m = batch.num_systems
     x = np.empty_like(batch.d)
     for i in range(m):
-        x[i] = _scipy_solve_banded(
+        x[i] = solve_banded(
             batch.bandwidth, batch.bands[i], batch.d[i]
         )
     return x

@@ -14,7 +14,7 @@ report; :func:`solve` is the one-call functional front door.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from ..ir.instructions import Program, signature_text
 from ..kernels import dtype_size
 from ..systems.tridiagonal import SharedMatrixBatch, TridiagonalBatch
 from ..util.errors import ConfigurationError
+from ..util.memo import LruMemo
 from .config import SwitchPoints
 from .planner import SolvePlan, plan_solve
 
@@ -78,7 +79,7 @@ class MultiStageSolver:
                 f"fuse must be False, True, or 'auto'; got {fuse!r}"
             )
         self.fuse = fuse
-        self._programs: Dict[Tuple, Program] = {}
+        self._programs: LruMemo[Program] = LruMemo("solver_programs")
         self._engine = Engine.for_device(self.device)
         # Optional observability: an obs.Tracer records a solve span per
         # execute_plan with the engine's program/instruction/kernel spans
@@ -144,26 +145,26 @@ class MultiStageSolver:
         """The program :meth:`execute_plan` runs, honouring ``fuse``.
 
         Each program is lowered once and memoised per (signature, count,
-        dtype size), which fixes the plan. In ``"auto"`` mode both
+        dtype size), which fixes the plan, in a bounded
+        :class:`~repro.util.memo.LruMemo`. In ``"auto"`` mode both
         lowerings are priced on a bare engine (no fault injector, no
         tracer — selection must not pollute the fault log or the span
         tree) and the cheaper one is kept. Fused and unfused solutions
         are bit-identical, so the choice only moves simulated time.
         """
+
+        def lower() -> Program:
+            if self.fuse != "auto":
+                return plan.lower(self.device, dsize, fuse=self.fuse)
+            pricer = Engine.for_device(self.device)
+            unfused = plan.lower(self.device, dsize)
+            fused = plan.lower(self.device, dsize, fuse=True)
+            unfused_ms = pricer.price(unfused).total_ms
+            fused_ms = pricer.price(fused).total_ms
+            return fused if fused_ms < unfused_ms else unfused
+
         key = (plan.signature, plan.num_systems, dsize)
-        program = self._programs.get(key)
-        if program is None:
-            if self.fuse == "auto":
-                pricer = Engine.for_device(self.device)
-                unfused = plan.lower(self.device, dsize)
-                fused = plan.lower(self.device, dsize, fuse=True)
-                unfused_ms = pricer.price(unfused).total_ms
-                fused_ms = pricer.price(fused).total_ms
-                program = fused if fused_ms < unfused_ms else unfused
-            else:
-                program = plan.lower(self.device, dsize, fuse=self.fuse)
-            self._programs[key] = program
-        return program
+        return self._programs.get_or_make(key, lower)
 
     def solve(
         self,

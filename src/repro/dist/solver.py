@@ -53,6 +53,7 @@ from ..util.errors import (
     PlanError,
     ReproError,
 )
+from ..util.memo import LruMemo
 from .partition import (
     partition_bounds,
     reconstruct_chunk,
@@ -168,10 +169,14 @@ class DistributedSolver:
         self._lock = threading.Lock()
         self._switch: Dict[int, SwitchPoints] = {}
         self._solvers: Dict[Tuple[int, int, bool], MultiStageSolver] = {}
-        self._planned: Dict[Tuple, Tuple[DistPlan, DistReport]] = {}
-        self._programs: Dict[Tuple[DistPlan, int], object] = {}
+        self._planned: LruMemo[Tuple[DistPlan, DistReport]] = LruMemo(
+            "dist_plans", metrics=self.metrics
+        )
+        self._programs: LruMemo = LruMemo("dist_programs", metrics=self.metrics)
         # Fault-free prices per (plan, dsize); DistReport is frozen.
-        self._reports: Dict[Tuple[DistPlan, int], DistReport] = {}
+        self._reports: LruMemo[DistReport] = LruMemo(
+            "dist_reports", metrics=self.metrics
+        )
         # Lazily built numerical-safety governor (shares this solver's
         # metrics registry and tracer); owns tolerance-governed solves.
         self._governor = None
@@ -243,14 +248,10 @@ class DistributedSolver:
 
     def lower(self, plan: DistPlan, dsize: int):
         """The instruction program for ``plan``, memoised per dtype."""
-        key = (plan, dsize)
-        with self._lock:
-            program = self._programs.get(key)
-        if program is not None:
-            return program
-        program = plan.lower(self.group, dsize, self.switch_points_for(dsize))
-        with self._lock:
-            return self._programs.setdefault(key, program)
+        return self._programs.get_or_make(
+            (plan, dsize),
+            lambda: plan.lower(self.group, dsize, self.switch_points_for(dsize)),
+        )
 
     def _report_for(self, plan: DistPlan, dsize: int) -> DistReport:
         """Price ``plan``'s program on the shared engine.
@@ -262,14 +263,9 @@ class DistributedSolver:
         if self.faults is not None:
             with self.faults.paused():
                 return self._engine.price(self.lower(plan, dsize)).report
-        key = (plan, dsize)
-        with self._lock:
-            report = self._reports.get(key)
-        if report is not None:
-            return report
-        report = self._engine.price(self.lower(plan, dsize)).report
-        with self._lock:
-            return self._reports.setdefault(key, report)
+        return self._reports.get_or_make(
+            (plan, dsize), lambda: self._engine.price(self.lower(plan, dsize)).report
+        )
 
     # -- planning & pricing ----------------------------------------------
 
@@ -302,11 +298,15 @@ class DistributedSolver:
         batch is the governor's call at solve time.
         """
         approx_allowed = tolerance is not None or self.mode == "approx"
-        key = (num_systems, system_size, dsize, approx_allowed)
-        with self._lock:
-            cached = self._planned.get(key)
-        if cached is not None:
-            return cached
+        return self._planned.get_or_make(
+            (num_systems, system_size, dsize, approx_allowed),
+            lambda: self._cheapest(num_systems, system_size, dsize, approx_allowed),
+        )
+
+    def _cheapest(
+        self, num_systems: int, system_size: int, dsize: int, approx_allowed: bool
+    ) -> Tuple[DistPlan, DistReport]:
+        """Price every feasible candidate mode; the cheapest, first on ties."""
         candidates: List[Tuple[DistPlan, DistReport]] = []
         errors: List[str] = []
         if self.mode != "auto":
@@ -340,9 +340,7 @@ class DistributedSolver:
                 f"{system_size} on {self.group.describe()} "
                 f"({'; '.join(errors)})"
             )
-        best = min(candidates, key=lambda pair: pair[1].total_ms)
-        with self._lock:
-            return self._planned.setdefault(key, best)
+        return min(candidates, key=lambda pair: pair[1].total_ms)
 
     def _rows_plan(
         self,
@@ -495,25 +493,37 @@ class DistributedSolver:
     def _solve_governed(
         self, batch: TridiagonalBatch, tolerance: float
     ) -> DistSolveResult:
+        """Plan, run and verify one governed solve.
+
+        The dominance estimate reads the whole batch, so it runs only
+        where it can change the plan: an auto solve prices with approx
+        among its candidates first and asks the governor only when
+        approx wins, re-pricing without it if the estimate rejects it.
+        That is the plan the estimate-first order picks, since approx
+        is the last candidate and ties keep the earlier one. A forced
+        ``mode="approx"`` records the estimate and runs approx whatever
+        it says; the ladder catches what the bound could not promise.
+        """
         dsize = dtype_size(batch.dtype)
         m, n = batch.shape
         governor = self.governor()
-        approx_admissible = False
         p = len(self.group)
-        if p > 1 and self.mode in ("auto", "approx"):
+
+        def approx_admissible() -> bool:
             chunk_rows = min(
                 stop - start for start, stop in partition_bounds(n, p)
             )
-            decision = governor.decide(batch, tolerance, chunk_rows)
-            approx_admissible = decision.approx
-        plan, _ = self.price(
-            m, n, dsize, tolerance=tolerance if approx_admissible else None
-        )
-        if plan.mode == "approx" and not approx_admissible:
-            # mode="approx" was forced but the estimate says unsafe;
-            # still run it — the ladder below catches what the bound
-            # could not promise.
-            pass
+            return governor.decide(batch, tolerance, chunk_rows).approx
+
+        if p > 1 and self.mode == "approx":
+            approx_admissible()  # recorded; forced approx runs anyway
+            plan, _ = self.price(m, n, dsize)
+        elif p > 1 and self.mode == "auto":
+            plan, _ = self.price(m, n, dsize, tolerance=tolerance)
+            if plan.mode == "approx" and not approx_admissible():
+                plan, _ = self.price(m, n, dsize)
+        else:
+            plan, _ = self.price(m, n, dsize)
         result = self.execute_plan(batch, plan)
         path = "approx" if plan.mode == "approx" else "exact"
 

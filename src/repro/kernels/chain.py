@@ -41,6 +41,18 @@ each PCR step's ``alpha`` and ``gamma``, and the Thomas ``a``, pivot
 and ``c'`` rows. Its solves replay only the plane passes, so they are
 bit-identical to the full chain by construction.
 
+A plane may be +0 in all but a few rows: SPIKE's two spikes start as
+one nonzero row each. The chain tracks each plane's *extent*, the rows
+``[lo, hi)`` outside which it holds +0, and a PCR step at stride ``s``
+widens it to ``[lo - s, hi + s)``, so each segment's plane pass sweeps
+only where the segment meets that. Outside it the reference computes
+``+0 + alpha·0 + gamma·0``, which is +0 for finite coefficients, and
+the skipped rows already hold +0. A step whose coefficients are not
+all finite sweeps every plane in full, so answers stay bit-identical.
+A chain of one plane, the data itself, takes it to span its system,
+and a plane whose first and last rows are set costs two row reads to
+find so; Thomas sweeps every plane whole.
+
 A chain owns two ping-pong buffer sets for all its steps and runs each
 step tile by tile, so the per-step scratch stays in cache. It never
 writes the arrays it was built from unless told it owns them, in which
@@ -76,6 +88,11 @@ class SplitChain:
     :func:`~repro.algorithms.pcr_thomas.pcr_thomas_solve`) or
     :meth:`thomas`. Solutions come back as new arrays shaped like the
     batch's ``d``: ``(n, m)``, or ``(r, n, m)`` for ``r`` planes.
+
+    With more than one plane, each plane's extent is found once, from
+    its first and last rows inward, and every split widens it by the
+    step's stride; the PCR plane passes sweep only within it (see the
+    module docstring).
     """
 
     def __init__(self, coeffs: Sequence[np.ndarray], owned: bool = False):
@@ -91,6 +108,12 @@ class SplitChain:
         self._floor = _pivot_floor(self.dtype)
         self.groups = 1  # subsystems per system so far
         self._radices: List[int] = []  # 2**k of every split, in order
+        # Per plane, the flat [lo, hi) outside which it holds +0. One
+        # plane is the data itself, taken to span its system.
+        planes = self._arrays[3:]
+        self._extents = [(0, self.n * self.m)] * len(planes)
+        if len(planes) > 1:
+            self._extents = [_extent(d) for d in planes]
 
     @classmethod
     def of(cls, work: BatchedTridiagonal, *, owned: bool = False) -> "SplitChain":
@@ -105,6 +128,16 @@ class SplitChain:
 
     def _buffers(self, count: int) -> List[np.ndarray]:
         return [np.empty((self.n, self.m), dtype=self.dtype) for _ in range(count)]
+
+    def _step_buffers(self) -> List[np.ndarray]:
+        """A fresh destination set; a plane that does not span its
+        system starts zeroed, so rows its steps skip read +0."""
+        full = (0, self.n * self.m)
+        dst = self._buffers(3)
+        for extent in self._extents:
+            alloc = np.empty if extent == full else np.zeros
+            dst.append(alloc((self.n, self.m), dtype=self.dtype))
+        return dst
 
     def split(self, steps: int) -> None:
         """Split every subsystem into ``2**steps`` by PCR, in place."""
@@ -125,17 +158,18 @@ class SplitChain:
         scratch = np.empty((3, _TILE), dtype=self.dtype)
         stride = self.groups
         for _ in range(steps):
-            dst = self._spare or self._buffers(len(self._arrays))
+            dst = self._spare or self._step_buffers()
             off = stride * self.m
             coeffs = None
             if kept is not None:
                 coeffs = [buf.reshape(-1) for buf in self._buffers(2)]
                 kept.append((*coeffs, off))
-            _pcr_step(
+            self._extents = _pcr_step(
                 [arr.reshape(-1) for arr in self._arrays],
                 [arr.reshape(-1) for arr in dst],
                 off,
                 scratch,
+                self._extents,
                 coeffs,
             )
             self._spare = self._arrays if self._owned else None
@@ -230,10 +264,12 @@ class FactoredChain:
         planes = np.array(np.swapaxes(d_stack, 1, 2), order="C").reshape(len(d_stack), -1)
         spare = np.empty_like(planes)
         tmp = np.empty(_TILE, dtype=planes.dtype)
+        # Every plane spans its system.
+        reach = [(0, planes.shape[1])] * len(planes)
         for alpha, gamma, off in self._steps:
             for cur, lo, hi in _segments(planes.shape[1], off):
                 coeffs = alpha[cur], gamma[cur], tmp[: cur.stop - cur.start]
-                _update_planes(planes, spare, cur, lo, hi, *coeffs)
+                _update_planes(planes, spare, cur, lo, hi, *coeffs, reach)
             planes, spare = spare, planes
         ds = planes.reshape((-1,) + self._a.shape)
         # Back substitution reads only d', so x may overwrite d.
@@ -301,20 +337,64 @@ def _segments(length: int, off: int):
             )
 
 
-def _pcr_step(src, dst, off, scratch, kept=None) -> None:
+def _extent(plane: np.ndarray) -> Tuple[int, int]:
+    """The flat ``[lo, hi)``, whole rows of an ``(n, m)`` plane, outside
+    which every value is +0 (-0 counts as set). A plane whose first and
+    last rows are set costs two row reads."""
+    m = plane.shape[1]
+    bits = plane.view(f"u{plane.itemsize}").reshape(-1)
+    first = _first_set(bits, m)
+    if first == len(bits):
+        return (0, 0)
+    last = _first_set(bits, m, last=True)
+    return first - first % m, last - last % m + m
+
+
+def _first_set(bits: np.ndarray, size: int, last: bool = False) -> int:
+    """Index of the first (or ``last``) nonzero element of flat ``bits``,
+    or ``len(bits)`` if none, read inward from that end in blocks of
+    ``size`` elements, each twice the one before: no more than twice
+    the zeros it passes, plus ``size``."""
+    n, done = len(bits), 0
+    while done < n:
+        start = max(n - done - size, 0) if last else done
+        block = bits[start : start + min(size, n - done)]
+        if block.max():  # unsigned, so nonzero iff any bit is set
+            hits = (block != 0).nonzero()[0]
+            return start + int(hits[-1] if last else hits[0])
+        done, size = done + len(block), 2 * size
+    return n
+
+
+def _pcr_step(src, dst, off, scratch, extents, kept=None) -> list:
     """One PCR step from ``src`` into ``dst``, flat ``a, b, c`` and one
     ``d`` per right-hand-side plane each, coupling positions ``off``
-    apart: per segment the matrix pass, then the plane pass.
+    apart: per segment the matrix pass, then the plane pass. Returns
+    the planes' extents in ``dst``.
 
     Per element this is exactly :func:`repro.algorithms.pcr.pcr_step`:
     the first and last ``off`` positions read the identity equation
     ``(0, 1, 0, 0)`` for their missing neighbour, as scalars, where the
     reference reads ``np.pad``'s fill. Given full-length ``kept =
     (alpha, gamma)``, the coefficients land there, not in the scratch.
+
+    A plane holding +0 outside its extent ``[lo, hi)`` can be nonzero
+    after the step only within ``[lo - off, hi + off)``, its *reach*;
+    the plane pass sweeps nothing else (see :func:`_update_planes`).
+    That is exact while every ``alpha`` and ``gamma`` is finite, and a
+    non-finite one makes its ``b'`` inf or NaN too (``inf·0`` is NaN,
+    and inf or NaN survives the two additions). So a step that skipped
+    anything and finds ``b'`` not all finite runs again with every
+    plane spanning its system.
     """
     identity = tuple(scratch.dtype.type(v) for v in (0, 1, 0))
     matrix, planes, out = src[:3], src[3:], dst[:3]
-    for cur, lo, hi in _segments(src[1].size, off):
+    length = src[1].size
+    reach = [
+        (max(lo - off, 0), min(hi + off, length)) if lo < hi else (lo, hi)
+        for lo, hi in extents
+    ]
+    for cur, lo, hi in _segments(length, off):
         alpha, gamma, tmp = scratch[:, : cur.stop - cur.start]
         if kept is not None:
             alpha, gamma = (arr[cur] for arr in kept)
@@ -322,7 +402,11 @@ def _pcr_step(src, dst, off, scratch, kept=None) -> None:
         above = identity if hi is None else [arr[hi] for arr in matrix]
         here = [arr[cur] for arr in matrix]
         _update(here, below, above, [arr[cur] for arr in out], alpha, gamma, tmp)
-        _update_planes(planes, dst[3:], cur, lo, hi, alpha, gamma, tmp)
+        _update_planes(planes, dst[3:], cur, lo, hi, alpha, gamma, tmp, reach)
+    spans = [(0, length)] * len(reach)
+    if reach != spans and not np.isfinite(out[1].sum()):
+        return _pcr_step(src, dst, off, scratch, spans, kept)
+    return reach
 
 
 def _update(cur, below, above, out, alpha, gamma, tmp) -> None:
@@ -344,15 +428,32 @@ def _update(cur, below, above, out, alpha, gamma, tmp) -> None:
     np.multiply(gamma, c_hi, out=out[2])
 
 
-def _update_planes(src, dst, cur, lo, hi, alpha, gamma, tmp) -> None:
+def _update_planes(src, dst, cur, lo, hi, alpha, gamma, tmp, reach) -> None:
     """The plane pass of one segment: the ``d`` update of
     :func:`~repro.algorithms.pcr.pcr_step` on positions ``cur`` of every
     plane, from the segment's ``alpha`` and ``gamma``. A neighbour slice
     of ``None`` reads the identity equation's ``d = 0``, a Python float
-    that computes in the planes' dtype."""
-    for d, out in zip(src, dst):
-        out = out[cur]
-        np.multiply(alpha, 0.0 if lo is None else d[lo], out=tmp)
-        np.add(d[cur], tmp, out=out)
-        np.multiply(gamma, 0.0 if hi is None else d[hi], out=tmp)
-        np.add(out, tmp, out=out)
+    that computes in the planes' dtype.
+
+    Each plane is swept only where ``cur`` meets its ``reach``. Outside
+    it the plane and both its neighbours hold +0, where the reference
+    computes ``+0 + alpha·0 + gamma·0``, +0 for finite ``alpha`` and
+    ``gamma``, and the destination already holds that +0.
+    """
+    x0, x1 = cur.start, cur.stop
+    for d, out, (r0, r1) in zip(src, dst, reach):
+        here, below, above, a, g, t = cur, lo, hi, alpha, gamma, tmp
+        if r0 > x0 or r1 < x1:
+            k0, k1 = max(r0 - x0, 0), min(r1, x1) - x0
+            if k0 >= k1:
+                continue
+            here, below, above = (
+                s if s is None else slice(s.start + k0, s.start + k1)
+                for s in (cur, lo, hi)
+            )
+            a, g, t = alpha[k0:k1], gamma[k0:k1], tmp[k0:k1]
+        out = out[here]
+        np.multiply(a, 0.0 if below is None else d[below], out=t)
+        np.add(d[here], t, out=out)
+        np.multiply(g, 0.0 if above is None else d[above], out=t)
+        np.add(out, t, out=out)

@@ -50,6 +50,7 @@ from ..util.errors import (
     ServiceError,
     ServiceOverloadedError,
 )
+from ..util.memo import LruMemo
 from ..util.validation import check_system_batch
 from .batcher import GroupKey, ServiceRequest, SolveGroup, group_requests
 from .fleet import ScalableWorkerFleet
@@ -198,7 +199,6 @@ class BatchSolveService:
         self._devices: Dict[str, Device] = {}
         self._switch: Dict[Tuple[str, int], SwitchPoints] = {}
         self._solvers: Dict[Tuple[str, int], MultiStageSolver] = {}
-        self._plans: Dict[Tuple[str, int, int, int], SolvePlan] = {}
         self._signatures: Dict[Tuple, Tuple] = {}
         # Dispatched groups' futures until each succeeds; a failed one
         # stays for drain() to re-raise. A dict keeps dispatch order.
@@ -218,6 +218,7 @@ class BatchSolveService:
 
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer
+        self._plans: LruMemo[SolvePlan] = LruMemo("service_plans", metrics=self.metrics)
         self.stats.attach_metrics(self.metrics)
         self.cache.attach_metrics(self.metrics)
         self._queue_depth = self.metrics.gauge(
@@ -337,17 +338,13 @@ class BatchSolveService:
         """The per-request plan, memoised per (device, dtype, m, n)."""
         dev = self._device(device)
         dsize = dtype_size(batch.dtype)
-        key = (dev.name, dsize, batch.num_systems, batch.system_size)
-        with self._lock:
-            plan = self._plans.get(key)
-        if plan is not None:
-            return plan
-        switch = self.switch_points_for(dev, batch.dtype)
-        plan = plan_solve(
-            dev, batch.num_systems, batch.system_size, dsize, switch
+        m, n = batch.shape
+        return self._plans.get_or_make(
+            (dev.name, dsize, m, n),
+            lambda: plan_solve(
+                dev, m, n, dsize, self.switch_points_for(dev, batch.dtype)
+            ),
         )
-        with self._lock:
-            return self._plans.setdefault(key, plan)
 
     def _program_signature(self, plan, device_label: str, dsize: int, lower):
         """Signature of the lowered instruction program, memoised.

@@ -24,6 +24,7 @@ from repro.faults import ClockSkew, DeviceFailure, FaultInjector, FaultPlan
 from repro.gpu import make_device
 from repro.gpu.spec import get_device_spec
 from repro.ir import Engine
+from repro.numerics import Governor
 from repro.service import BatchSolveService
 from repro.systems import generators
 from repro.util.errors import ConfigurationError, PlanError
@@ -188,6 +189,76 @@ class TestPriceMemo:
             if e.kind == "device_lost" and e.action == "failed_over"
         ]
         assert penalties[0] == price
+
+
+def _spy_decide(monkeypatch):
+    """Every later ``Governor.decide`` call's verdict, in order."""
+    verdicts = []
+    decide = Governor.decide
+
+    def spied(self, *args, **kwargs):
+        decision = decide(self, *args, **kwargs)
+        verdicts.append(decision.approx)
+        return decision
+
+    monkeypatch.setattr(Governor, "decide", spied)
+    return verdicts
+
+
+def _estimate_first(solver, batch, tolerance):
+    """The plan and answer of a governed solve that estimates dominance
+    before it prices: the order every plan is held to."""
+    m, n = batch.shape
+    chunk_rows = n // len(solver.group)
+    admissible = Governor().decide(batch, tolerance, chunk_rows).approx
+    plan, report = solver.price(
+        m, n, 8, tolerance=tolerance if admissible else None
+    )
+    return plan, report, solver.execute_plan(batch, plan).x
+
+
+class TestGovernedEstimate:
+    """A governed auto solve estimates dominance only when approx wins
+    on price, and keeps the plan and answer of estimating first."""
+
+    @pytest.mark.parametrize(
+        "devices,batch,calls,mode",
+        [
+            # Exact rows beat approx on price: no estimate.
+            (2, generators.random_dominant(16, 4096, rng=21), [], "rows"),
+            # Approx wins on price and the estimate admits it.
+            (8, generators.random_dominant(4, 4096, rng=22), [True], "approx"),
+            # Approx wins on price, but Poisson has no dominance margin.
+            (8, generators.poisson_1d(4, 4096), [False], "rows"),
+        ],
+        ids=["approx-loses", "approx-admitted", "approx-rejected"],
+    )
+    def test_estimate_runs_only_when_approx_wins(
+        self, monkeypatch, devices, batch, calls, mode
+    ):
+        plan, report, x = _estimate_first(DistributedSolver(devices), batch, 1e-8)
+        verdicts = _spy_decide(monkeypatch)
+        result = DistributedSolver(devices).solve(batch, tolerance=1e-8)
+        assert verdicts == calls
+        assert result.plan == plan and result.plan.mode == mode
+        assert result.report.total_ms == report.total_ms
+        np.testing.assert_array_equal(result.x.view(np.int64), x.view(np.int64))
+
+    def test_too_few_rows_to_partition_plans_like_an_ungoverned_solve(self):
+        # Six rows cannot split into four chunks, so approx never prices.
+        batch = generators.random_dominant(8, 6, rng=1)
+        governed = DistributedSolver(4).solve(batch, tolerance=1e-8)
+        plain = DistributedSolver(4).solve(batch)
+        assert governed.plan == plain.plan and governed.plan.mode == "batch"
+        np.testing.assert_array_equal(governed.x, plain.x)
+
+    def test_forced_approx_still_estimates_first(self, monkeypatch):
+        verdicts = _spy_decide(monkeypatch)
+        batch = generators.poisson_1d(4, 4096)
+        result = DistributedSolver(8, mode="approx").solve(batch, tolerance=1e-8)
+        assert verdicts == [False]
+        assert result.plan.mode == "approx"
+        assert batch.residual(result.x).max() <= 1e-8
 
 
 class TestDistPlan:

@@ -71,22 +71,28 @@ def reference_solve(batch, plan):
 @dataclass(frozen=True)
 class Case:
     """One drawn batch and a twin of its shape, the switch points every
-    path plans with, and the right-hand-side planes and fuse mode of the
-    shared-matrix solve."""
+    path plans with, and the extra right-hand-side planes and fuse mode
+    of the shared-matrix solve."""
 
     batch: repro.TridiagonalBatch
     twin: repro.TridiagonalBatch  # merges with ``batch`` in the services
     switch: SwitchPoints
-    planes: int
+    # Per extra plane: None for a dense one, else the one row of an
+    # impulse plane (+0 elsewhere, like SPIKE's spikes).
+    extra_planes: tuple
     fuse: object
 
     @property
     def shared(self) -> SharedMatrixBatch:
-        """The batch's matrix against ``planes`` right-hand sides, plane 0
-        being the batch's own."""
+        """The batch's matrix against its own ``d`` and the extra planes."""
         b = self.batch
         rng = np.random.default_rng(b.system_size)
-        more = rng.standard_normal((self.planes - 1,) + b.shape).astype(b.dtype)
+        more = np.zeros((len(self.extra_planes),) + b.shape, dtype=b.dtype)
+        for plane, row in zip(more, self.extra_planes):
+            if row is None:
+                plane[:] = rng.standard_normal(b.shape)
+            else:
+                plane[:, row] = rng.standard_normal(b.num_systems)
         return SharedMatrixBatch(b.a, b.b, b.c, np.concatenate([b.d[None], more]))
 
 
@@ -111,7 +117,14 @@ def _cases(draw):
         batch=generators.random_dominant(m, n, rng=seed, dtype=dtype),
         twin=generators.random_dominant(m, n, rng=seed + 1, dtype=dtype),
         switch=switch,
-        planes=draw(st.integers(min_value=1, max_value=3)),
+        extra_planes=tuple(
+            draw(
+                st.lists(
+                    st.one_of(st.none(), st.integers(min_value=0, max_value=n - 1)),
+                    max_size=2,
+                )
+            )
+        ),
         fuse=draw(st.sampled_from([False, True, "auto"])),
     )
 

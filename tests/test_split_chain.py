@@ -19,7 +19,10 @@ and fail exactly like the tiled batch it stands for, priced the same,
 while the chain does the matrix's work once: the operation-count tests
 pin ``10 + 4r`` ufunc calls per PCR segment and ``3 + 3r`` per forward
 Thomas row. A factored solve replays the plane passes alone: ``4r`` per
-segment and ``3r`` per forward row.
+segment and ``3r`` per forward row. A plane that is +0 outside a few
+rows, as SPIKE's spikes are, is swept only on the segments its nonzero
+rows can reach, and solves bit for bit like the tiled batch all the
+same, zero pivots included.
 """
 
 import tracemalloc
@@ -231,6 +234,48 @@ class TestAgainstGatheredReference:
         assert got == expected
 
 
+def _impulses(batch, rows, seed):
+    """``(work, tiled)``: ``batch``'s matrix against its own ``d`` and one
+    plane per entry of ``rows``, +0 but for that row of every system."""
+    rng = np.random.default_rng(seed)
+    planes = np.zeros((len(rows),) + batch.shape, dtype=batch.dtype)
+    for plane, row in zip(planes, rows):
+        plane[:, row] = rng.standard_normal(batch.num_systems)
+    shared = SharedMatrixBatch(
+        batch.a, batch.b, batch.c, np.concatenate([batch.d[None], planes])
+    )
+    return shared, shared.tiled()
+
+
+class TestImpulsePlanes:
+    @settings(max_examples=examples(40), deadline=None)
+    @given(
+        case=_cases(),
+        seed=st.integers(min_value=0, max_value=2**16),
+        data=st.data(),
+    )
+    def test_solves_like_the_tiled_batch(self, case, seed, data):
+        """Every plane bit for bit against the tiled reference; with a
+        zero ``b`` drawn, a PCR divide makes inf and the NaN and inf
+        positions must match too."""
+        m, n = case["m"], case["n"]
+        row = st.integers(min_value=0, max_value=n - 1)
+        rows = data.draw(st.lists(row, min_size=1, max_size=3))
+        batch = generators.random_dominant(m, n, rng=seed, dtype=case["dtype"])
+        if data.draw(st.booleans()):
+            b = batch.b.copy()
+            b[data.draw(st.integers(min_value=0, max_value=m - 1)), data.draw(row)] = 0
+            batch = TridiagonalBatch(batch.a, b, batch.c, batch.d)
+        work, tiled = _impulses(batch, rows, seed)
+        plan = _plan(
+            tiled.num_systems, n, case["k1"], case["k2"], case["thomas_switch"]
+        )
+        with np.errstate(all="ignore"):
+            expected = _outcome(lambda: reference_solve(tiled, plan))
+            got = _engine_outcome(work, plan, case["fuse"])
+        assert got == expected
+
+
 def _coeffs(batch):
     return (batch.a, batch.b, batch.c, batch.d)
 
@@ -356,6 +401,29 @@ class TestSharedMatrixWork:
         split.split(1)
         assert len(segments) == 4
         assert numpy.calls == len(segments) * (10 + 4 * (planes or 1))
+
+    def test_impulse_planes_sweep_only_segments_they_reach(self, monkeypatch):
+        """A dense plane next to impulses in the first and last rows: two
+        steps at offsets 8 and 16 each cut the two tiles at the system's
+        edges, and each impulse reaches only the two segments at its own
+        edge. Each plane a segment meets costs 4 calls, and each step
+        that skipped anything checks ``b'`` once."""
+        m, n = 8, 4096
+        batch = generators.random_dominant(m, n, rng=8)
+        work, _ = _impulses(batch, [0, n - 1], seed=8)
+        state = ExecState.for_batch(work)
+        _run(state, Pad(n))
+        split = SplitChain.of(state.work)
+        numpy, segments = _CountingNumpy(), []
+        update = chain._update
+        monkeypatch.setattr(chain, "np", numpy)
+        monkeypatch.setattr(
+            chain, "_update", lambda *args: (segments.append(1), update(*args))
+        )
+        split.split(2)
+        assert len(segments) == 2 * 4
+        planes_met = len(segments) + 2 * 2 + 2 * 2  # dense, first, last
+        assert numpy.calls == len(segments) * 10 + planes_met * 4 + 2
 
     @pytest.mark.parametrize("planes", [None, 1, 2, 3])
     def test_thomas_calls_per_row(self, monkeypatch, planes):
