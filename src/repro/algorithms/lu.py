@@ -9,8 +9,9 @@ The paper's CPU comparator (Figure 8) is Intel MKL's tridiagonal solver,
 - :func:`lu_solve` — factor-and-solve in one call (equivalent to Thomas
   but retaining the factors);
 - :func:`scipy_banded_solve` — an independent oracle built on
-  ``scipy.linalg.solve_banded`` (LAPACK ``gtsv``-class, with partial
-  pivoting) used by the test suite to validate every other algorithm.
+  ``scipy.linalg.solve_banded`` (LAPACK ``?gtsv``, with partial
+  pivoting) used by the test suite to validate every other algorithm,
+  by the governed solve's last rung, and by the MKL-like CPU baseline.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import numpy as np
 
 from ..systems.tridiagonal import TridiagonalBatch
 from ..util.errors import SingularSystemError
+from ..util.validation import check_finite_batch
 
 __all__ = ["TridiagonalLU", "lu_factor", "lu_solve_factored", "lu_solve", "scipy_banded_solve"]
 
@@ -103,14 +105,17 @@ def lu_solve(batch: TridiagonalBatch, *, check: bool = True) -> np.ndarray:
 def scipy_banded_solve(batch: TridiagonalBatch) -> np.ndarray:
     """Oracle solve via ``scipy.linalg.solve_banded`` (partial pivoting).
 
-    Loops over systems (LAPACK is per-matrix); intended for validation,
-    not performance. Raises the library's typed
-    :class:`SingularSystemError` (not scipy's ``LinAlgError``) when a
-    system has no solution, so callers — the escalation ladder
-    included — never see an untyped failure.
+    Loops over systems (LAPACK is per-matrix). Raises the library's
+    typed errors, never scipy's: :class:`InvalidSystemError` naming the
+    first system with a NaN or Inf entry, and
+    :class:`SingularSystemError` (not ``LinAlgError``) when a system has
+    no solution, so callers — the escalation ladder included — never see
+    an untyped failure. A zero main-diagonal entry is not an error here:
+    LAPACK pivots past it.
     """
     from scipy.linalg import solve_banded
 
+    check_finite_batch(batch, context="banded solve")
     m, n = batch.shape
     x = np.empty((m, n), dtype=batch.dtype)
     ab = np.zeros((3, n), dtype=batch.dtype)

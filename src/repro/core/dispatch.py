@@ -79,27 +79,15 @@ class HybridDispatcher:
         self.device = make_device(device)
         self.tuner = tuner or SelfTuner()
         self.cpu_solver = MklLikeCpuSolver(cpu)
-        # ``dist`` may be a DistributedSolver, a DeviceGroup, or a device
-        # count; the solver is built lazily (repro.dist imports this
-        # package, so the import must not run at module load).
-        self._dist_config = dist
-        self._dist_solver = None
-
-    @property
-    def dist_solver(self):
-        """The distributed engine, or ``None`` when not configured."""
-        if self._dist_config is None:
-            return None
-        if self._dist_solver is None:
+        # The distributed engine, or None when not configured. ``dist``
+        # may be a DistributedSolver, a DeviceGroup, or a device count
+        # (repro.dist imports this package, so the import is deferred).
+        if dist is not None:
             from ..dist.solver import DistributedSolver
 
-            if isinstance(self._dist_config, DistributedSolver):
-                self._dist_solver = self._dist_config
-            else:
-                self._dist_solver = DistributedSolver(
-                    self._dist_config, device=self.device
-                )
-        return self._dist_solver
+            if not isinstance(dist, DistributedSolver):
+                dist = DistributedSolver(dist, device=self.device)
+        self.dist_solver = dist
 
     # -- pricing & decision ---------------------------------------------------
 
@@ -111,7 +99,7 @@ class HybridDispatcher:
         check_positive_int(system_size, "system_size")
         working_set = 5 * num_systems * system_size * dsize
         if (
-            self._dist_config is not None
+            self.dist_solver is not None
             and working_set > self.device.spec.global_mem_bytes
         ):
             # Memory overflow: one device cannot hold the problem. Only

@@ -13,21 +13,25 @@ report; :func:`solve` is the one-call functional front door.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 import numpy as np
 
+from ..algorithms.lu import scipy_banded_solve
 from ..algorithms.verify import assert_solution
 from ..gpu.executor import Device, SimReport, make_device
 from ..ir.engine import Engine
 from ..ir.instructions import Program, signature_text
 from ..kernels import dtype_size
+from ..numerics import Governor, residual_refinement
 from ..systems.tridiagonal import SharedMatrixBatch, TridiagonalBatch
 from ..util.errors import ConfigurationError
 from ..util.memo import LruMemo
+from ..util.validation import resolve_faults
 from .config import SwitchPoints
 from .planner import SolvePlan, plan_solve
+from .tuning import make_tuner, resolve_tuning
 
 __all__ = ["SolveResult", "MultiStageSolver", "solve"]
 
@@ -53,7 +57,10 @@ class MultiStageSolver:
     ``tuning`` may be an explicit :class:`SwitchPoints`, a tuner instance
     (anything with ``switch_points(device, num_systems, system_size,
     dtype_size)``), or one of the strategy names ``"default"``,
-    ``"static"``, ``"dynamic"``.
+    ``"static"``, ``"dynamic"``; ``None`` means ``"default"``. A tuner is
+    asked per workload shape. Every front end reads ``tuning`` through
+    :func:`~repro.core.tuning.resolve_tuning`, so a bad value raises
+    :class:`ConfigurationError` here, at construction.
     """
 
     def __init__(
@@ -90,32 +97,13 @@ class MultiStageSolver:
         # a bare FaultPlan which gets its own injector. The engine
         # consults it before every costed instruction; None is the
         # fault-free happy path.
-        if faults is not None and not hasattr(faults, "before_step"):
-            from ..faults import FaultInjector
-
-            faults = FaultInjector(faults)
-        self.faults = faults
-        self._engine.injector = faults
-        self._tuner = None
-        self._switch: Optional[SwitchPoints] = None
-        # Lazily built numerical-safety governor for tolerance-governed
-        # solves (metrics-free here; the service threads its registry).
-        self._governor = None
-        if tuning is None:
-            tuning = "default"
-        if isinstance(tuning, SwitchPoints):
-            self._switch = tuning
-        elif isinstance(tuning, str):
-            from .tuning import make_tuner
-
-            self._tuner = make_tuner(tuning)
-        elif hasattr(tuning, "switch_points"):
-            self._tuner = tuning
-        else:
-            raise ConfigurationError(
-                "tuning must be SwitchPoints, a tuner, or a strategy name; "
-                f"got {type(tuning).__name__}"
-            )
+        self.faults = resolve_faults(faults)
+        self._engine.injector = self.faults
+        # The numerical-safety governor for tolerance-governed solves
+        # (metrics-free here; the service threads its registry).
+        self._governor = Governor(tracer=tracer)
+        tuning = resolve_tuning(tuning)
+        self._tuning = make_tuner(tuning) if isinstance(tuning, str) else tuning
 
     # -- switch-point resolution -------------------------------------------
 
@@ -123,9 +111,9 @@ class MultiStageSolver:
         self, num_systems: int, system_size: int, dsize: int
     ) -> SwitchPoints:
         """Resolve switch points for a workload shape."""
-        if self._switch is not None:
-            return self._switch
-        return self._tuner.switch_points(
+        if isinstance(self._tuning, SwitchPoints):
+            return self._tuning
+        return self._tuning.switch_points(
             self.device, num_systems, system_size, dsize
         )
 
@@ -204,35 +192,19 @@ class MultiStageSolver:
         tolerance: float,
     ) -> SolveResult:
         """Walk the escalation ladder over an executed result."""
-        from dataclasses import replace as _replace
-
-        from ..algorithms.lu import scipy_banded_solve
-        from ..numerics import Governor
-
-        if self._governor is None:
-            self._governor = Governor(tracer=self.tracer)
-
-        def refine(b: TridiagonalBatch, x: np.ndarray) -> np.ndarray:
-            residual_rhs = b.d - b.matvec(x)
-            correction = self.execute_plan(
-                TridiagonalBatch(b.a, b.b, b.c, residual_rhs), plan, switch
-            ).x
-            return x + correction
-
-        def resolve(b: TridiagonalBatch) -> np.ndarray:
-            return scipy_banded_solve(b)
-
         outcome = self._governor.enforce(
             batch,
             result.x,
             tolerance,
-            refine=refine,
-            resolve=resolve,
+            refine=residual_refinement(
+                lambda b: self.execute_plan(b, plan, switch).x
+            ),
+            resolve=scipy_banded_solve,
             path="staged",
             context="multi-stage solve",
         )
         if outcome.x is not result.x:
-            result = _replace(result, x=outcome.x)
+            result = replace(result, x=outcome.x)
         return result
 
     def execute_plan(

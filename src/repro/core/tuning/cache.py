@@ -24,7 +24,7 @@ from typing import Callable, Dict, Optional, Tuple, Union
 from ...util.errors import TuningError
 from ..config import SwitchPoints
 
-__all__ = ["TuningCache", "WorkloadClass"]
+__all__ = ["TuningCache", "WorkloadClass", "resolve_cache"]
 
 #: A cache workload class: a plain string, or a structured tuple
 #: (canonicalised via :func:`repro.ir.instructions.signature_text`).
@@ -236,3 +236,11 @@ class TuningCache:
                     f"{payload.get('version')!r}"
                 )
             self._store = dict(payload.get("entries", {}))
+
+
+def resolve_cache(cache) -> TuningCache:
+    """A front end's ``cache=`` as the cache it uses: any object with
+    ``get_or_tune`` (a :class:`TuningCache`, the serving tier's sharded
+    cache) as given, anything else as the path of a :class:`TuningCache`
+    (memory-only for ``None``)."""
+    return cache if hasattr(cache, "get_or_tune") else TuningCache(cache)

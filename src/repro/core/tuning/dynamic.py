@@ -41,7 +41,7 @@ from ...util.validation import next_power_of_two
 from ..config import SwitchPoints
 from ..pricing import price_base_kernel, simulate_plan
 from .base import Tuner, TuningTrace
-from .cache import TuningCache
+from .cache import TuningCache, resolve_cache
 from .search import pow2_hill_climb
 from .static import MachineQueryTuner
 
@@ -66,10 +66,7 @@ class SelfTuner(Tuner):
         huge_system_size: int = 1 << 21,
         fill_systems: Optional[int] = None,
     ):
-        if isinstance(cache, TuningCache):
-            self.cache = cache
-        else:
-            self.cache = TuningCache(cache)
+        self.cache = resolve_cache(cache)
         self.huge_system_size = next_power_of_two(huge_system_size)
         self.fill_systems = fill_systems
         self.last_trace: Optional[TuningTrace] = None

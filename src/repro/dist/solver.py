@@ -32,9 +32,8 @@ that executes and prices single-device solves.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -42,10 +41,16 @@ from ..algorithms.verify import assert_solution
 from ..core.config import SwitchPoints
 from ..core.planner import plan_solve
 from ..core.solver import MultiStageSolver
-from ..core.tuning import TuningCache, make_tuner
+from ..core.tuning import (
+    TuningCache,
+    resolve_cache,
+    resolve_tuning,
+    shape_free_switch_points,
+)
 from ..gpu.executor import SimReport
 from ..ir.engine import Engine
 from ..kernels import dtype_size
+from ..numerics import Governor, residual_refinement
 from ..systems.tridiagonal import TridiagonalBatch
 from ..util.errors import (
     ConfigurationError,
@@ -54,6 +59,7 @@ from ..util.errors import (
     ReproError,
 )
 from ..util.memo import LruMemo
+from ..util.validation import resolve_faults
 from .partition import (
     partition_bounds,
     reconstruct_chunk,
@@ -101,7 +107,12 @@ class DistributedSolver:
         ``device`` parts joined by ``link``/``topology`` is built).
     tuning:
         ``SwitchPoints`` used verbatim, a strategy name resolved once
-        per dtype through the shared ``cache``, or a tuner instance.
+        per dtype through the shared ``cache``, or a tuner instance
+        asked at shape (0, 0); ``None`` means ``"default"``.
+    cache:
+        Any tuning cache (a :class:`TuningCache`, a
+        :class:`~repro.serve.shards.ShardedTuningCache`), or the path of
+        a persistent one; memory-only when omitted.
     mode:
         ``"rows"``, ``"batch"``, ``"approx"``, ``"pipelined"``, or
         ``"auto"`` (price every feasible mode, keep the fastest).
@@ -145,18 +156,14 @@ class DistributedSolver:
         self.mode = mode
         self.schedule = schedule
         self.verify = verify
-        self.cache = cache if isinstance(cache, TuningCache) else TuningCache(cache)
-        self._tuning = tuning
-        if faults is not None and not hasattr(faults, "before_step"):
-            from ..faults import FaultInjector
-
-            faults = FaultInjector(faults)
-        self.faults = faults
+        self.cache = resolve_cache(cache)
+        self._tuning = resolve_tuning(tuning)
+        self.faults = resolve_faults(faults)
         self._engine = Engine.for_group(group)
         # The shared engine only *prices* dist programs; pricing runs
         # paused (planning must not consume faults) but still sees
         # environmental slowdowns (clock skew, link degradation).
-        self._engine.injector = faults
+        self._engine.injector = self.faults
         # Observability. The pricing engine deliberately gets NO tracer —
         # planning prices many candidate programs and would flood the
         # trace; executed local programs are traced via the member
@@ -166,9 +173,8 @@ class DistributedSolver:
 
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer
-        self._lock = threading.Lock()
-        self._switch: Dict[int, SwitchPoints] = {}
-        self._solvers: Dict[Tuple[int, int, bool], MultiStageSolver] = {}
+        self._switch: LruMemo[SwitchPoints] = LruMemo("dist_switch")
+        self._solvers: LruMemo[MultiStageSolver] = LruMemo("dist_solvers")
         self._planned: LruMemo[Tuple[DistPlan, DistReport]] = LruMemo(
             "dist_plans", metrics=self.metrics
         )
@@ -177,72 +183,44 @@ class DistributedSolver:
         self._reports: LruMemo[DistReport] = LruMemo(
             "dist_reports", metrics=self.metrics
         )
-        # Lazily built numerical-safety governor (shares this solver's
-        # metrics registry and tracer); owns tolerance-governed solves.
-        self._governor = None
+        # The numerical-safety governor (shares this solver's metrics
+        # registry and tracer); owns tolerance-governed solves.
+        self._governor = Governor(metrics=self.metrics, tracer=self.tracer)
 
-    def governor(self):
+    def governor(self) -> Governor:
         """The shared :class:`~repro.numerics.Governor` for this solver."""
-        from ..numerics import Governor
-
-        with self._lock:
-            if self._governor is None:
-                self._governor = Governor(
-                    metrics=self.metrics, tracer=self.tracer
-                )
-            return self._governor
+        return self._governor
 
     # -- tuning ----------------------------------------------------------
 
     def switch_points_for(self, dsize: int) -> SwitchPoints:
         """Switch points shared by every member device, per dtype size."""
-        with self._lock:
-            cached = self._switch.get(dsize)
-        if cached is not None:
-            return cached
-        if isinstance(self._tuning, SwitchPoints):
-            resolved = self._tuning
-        elif isinstance(self._tuning, str):
-            strategy = self._tuning
-            device = self.group[0]
-
-            def tune_now() -> SwitchPoints:
-                return make_tuner(strategy).switch_points(device, 0, 0, dsize)
-
-            resolved = self.cache.get_or_tune(
-                device.name, dsize, tune_now, workload_class="dist"
-            )
-        elif hasattr(self._tuning, "switch_points"):
-            resolved = self._tuning.switch_points(self.group[0], 0, 0, dsize)
-        else:
-            raise ConfigurationError(
-                "tuning must be SwitchPoints, a tuner, or a strategy name; "
-                f"got {type(self._tuning).__name__}"
-            )
-        with self._lock:
-            return self._switch.setdefault(dsize, resolved)
+        return self._switch.get_or_make(
+            dsize,
+            lambda: shape_free_switch_points(
+                self._tuning, self.cache, self.group[0], dsize, "dist"
+            ),
+        )
 
     def _solver(
         self, index: int, dsize: int, fuse: bool = False
     ) -> MultiStageSolver:
-        key = (index, dsize, fuse)
-        with self._lock:
-            solver = self._solvers.get(key)
-        if solver is not None:
+        def build() -> MultiStageSolver:
+            solver = MultiStageSolver(
+                self.group[index],
+                self.switch_points_for(dsize),
+                fuse=fuse,
+                faults=(
+                    None if self.faults is None else self.faults.for_device(index)
+                ),
+            )
+            # Trace local programs directly under the distributed solve
+            # span (no per-chunk solve wrapper — the dist solve is the
+            # solve).
+            solver._engine.tracer = self.tracer
             return solver
-        solver = MultiStageSolver(
-            self.group[index],
-            self.switch_points_for(dsize),
-            fuse=fuse,
-            faults=(
-                None if self.faults is None else self.faults.for_device(index)
-            ),
-        )
-        # Trace local programs directly under the distributed solve span
-        # (no per-chunk solve wrapper — the dist solve is the solve).
-        solver._engine.tracer = self.tracer
-        with self._lock:
-            return self._solvers.setdefault(key, solver)
+
+        return self._solvers.get_or_make((index, dsize, fuse), build)
 
     # -- lowering ---------------------------------------------------------
 
@@ -527,13 +505,6 @@ class DistributedSolver:
         result = self.execute_plan(batch, plan)
         path = "approx" if plan.mode == "approx" else "exact"
 
-        def refine(b: TridiagonalBatch, x: np.ndarray) -> np.ndarray:
-            residual_rhs = b.d - b.matvec(x)
-            correction = self.execute_plan(
-                TridiagonalBatch(b.a, b.b, b.c, residual_rhs), plan
-            ).x
-            return x + correction
-
         def resolve(b: TridiagonalBatch) -> np.ndarray:
             # The exact fallback must not re-price into approx (which a
             # forced mode="approx" solver would): re-solve on the exact
@@ -545,7 +516,7 @@ class DistributedSolver:
             batch,
             result.x,
             tolerance,
-            refine=refine,
+            refine=residual_refinement(lambda b: self.execute_plan(b, plan).x),
             resolve=resolve if path == "approx" else None,
             path=path,
             context="distributed solve",

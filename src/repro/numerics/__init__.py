@@ -15,7 +15,7 @@ so a governed solve never returns an unverified answer. See
 """
 
 from .estimate import SAFETY_MARGIN, DominanceEstimate
-from .governor import Governor, GovernorDecision, LadderOutcome
+from .governor import Governor, GovernorDecision, LadderOutcome, residual_refinement
 
 __all__ = [
     "DominanceEstimate",
@@ -23,4 +23,5 @@ __all__ = [
     "Governor",
     "GovernorDecision",
     "LadderOutcome",
+    "residual_refinement",
 ]

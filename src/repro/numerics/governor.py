@@ -37,7 +37,7 @@ from ..systems.tridiagonal import TridiagonalBatch
 from ..util.errors import NumericalBreakdownError
 from .estimate import DominanceEstimate
 
-__all__ = ["Governor", "GovernorDecision", "LadderOutcome"]
+__all__ = ["Governor", "GovernorDecision", "LadderOutcome", "residual_refinement"]
 
 # Residual/tolerance ratio buckets: < 1 is within tolerance, the tail
 # measures how badly the failed attempts missed.
@@ -75,6 +75,18 @@ class LadderOutcome:
     residual: float  # worst relative residual of the returned x
     tolerance: float
     attempts: Tuple[str, ...]  # rungs tried, in order
+
+
+def residual_refinement(
+    solve: Callable[[TridiagonalBatch], np.ndarray]
+) -> Callable[[TridiagonalBatch, np.ndarray], np.ndarray]:
+    """The ladder's refine rung: ``x + solve(A, d - A·x)``, where
+    ``solve`` re-runs the plan that produced ``x`` on a batch."""
+
+    def refine(batch: TridiagonalBatch, x: np.ndarray) -> np.ndarray:
+        return x + solve(batch.with_rhs(batch.d - batch.matvec(x)))
+
+    return refine
 
 
 class Governor:

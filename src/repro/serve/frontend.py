@@ -29,6 +29,7 @@ import asyncio
 from concurrent.futures import Future
 from typing import List, Optional, Sequence, Union
 
+from ..core.tuning import resolve_cache
 from ..service.queue import CircuitBreaker
 from ..service.workers import BatchSolveService, ServiceResult
 from ..systems.tridiagonal import TridiagonalBatch
@@ -51,9 +52,14 @@ class AsyncSolveService:
     autoscale:
         ``True`` (or an :class:`AutoscalerPolicy`) builds an
         :class:`Autoscaler` over the fleet, ticked at every flush.
+    cache:
+        Any tuning cache, or the path of a persistent
+        :class:`~repro.core.TuningCache`; a
+        :class:`ShardedTuningCache` of ``num_shards`` stripes when
+        omitted. :attr:`cache` is the cache the service uses.
     num_shards:
         Stripe count of the default sharded cache (ignored when a
-        ``cache`` instance is passed).
+        ``cache`` is passed).
     workers:
         Initial fleet width (the autoscaler moves it afterwards).
     """
@@ -61,7 +67,7 @@ class AsyncSolveService:
     def __init__(
         self,
         device: str = "gtx470",
-        tuning: Union[str, object] = "static",
+        tuning: Union[str, object, None] = "static",
         *,
         cache=None,
         num_shards: int = 8,
@@ -84,7 +90,7 @@ class AsyncSolveService:
 
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.cache = (
-            cache if cache is not None else ShardedTuningCache(num_shards)
+            ShardedTuningCache(num_shards) if cache is None else resolve_cache(cache)
         )
         self.admission = admission
         if admission is not None:

@@ -26,6 +26,7 @@ from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from ..gpu.executor import Device
 from ..systems.tridiagonal import TridiagonalBatch
 
 __all__ = ["GroupKey", "ServiceRequest", "SolveGroup", "group_requests"]
@@ -58,7 +59,7 @@ class ServiceRequest:
 
     seq: int  # submission order; ties grouping determinism down
     batch: TridiagonalBatch
-    device: str
+    device: Device  # what the request runs on; its name keys the group
     key: GroupKey
     plan: "object"  # the per-request SolvePlan (what a standalone solve runs)
     deadline: Optional[float] = None

@@ -36,11 +36,17 @@ import numpy as np
 from ..core.config import SwitchPoints
 from ..core.planner import SolvePlan, plan_solve
 from ..core.solver import MultiStageSolver
-from ..core.tuning import TuningCache, make_tuner
+from ..core.tuning import (
+    TuningCache,
+    resolve_cache,
+    resolve_tuning,
+    shape_free_switch_points,
+)
 from ..dist.plan import DistPlan
 from ..dist.solver import DistributedSolver, working_set_nbytes
 from ..gpu.executor import Device, SimReport, make_device
 from ..kernels import dtype_size
+from ..numerics import Governor, residual_refinement
 from ..systems.tridiagonal import TridiagonalBatch
 from ..util.errors import (
     ConfigurationError,
@@ -51,7 +57,7 @@ from ..util.errors import (
     ServiceOverloadedError,
 )
 from ..util.memo import LruMemo
-from ..util.validation import check_system_batch
+from ..util.validation import check_system_batch, resolve_faults
 from .batcher import GroupKey, ServiceRequest, SolveGroup, group_requests
 from .fleet import ScalableWorkerFleet
 from .queue import BoundedRequestQueue, CircuitBreaker
@@ -87,12 +93,15 @@ class BatchSolveService:
     device:
         Default device for requests that don't name one.
     tuning:
-        ``SwitchPoints`` used verbatim, or a strategy name
+        ``SwitchPoints`` used verbatim, a strategy name
         (``default``/``static``/``dynamic``) resolved once per
-        (device, dtype) and cached.
+        (device, dtype) through ``cache``, or a tuner instance asked at
+        shape (0, 0); ``None`` means ``"default"``. A bad value raises
+        :class:`ConfigurationError` here.
     cache:
-        Shared :class:`TuningCache` (or a path for a persistent one).
-        Created memory-only when omitted.
+        Any shared tuning cache (a :class:`TuningCache`, a
+        :class:`~repro.serve.shards.ShardedTuningCache`), or the path of
+        a persistent one. Created memory-only when omitted.
     max_workers:
         Initial width of :attr:`fleet`, the worker threads executing
         merged solves concurrently (the serving tier's autoscaler may
@@ -112,7 +121,8 @@ class BatchSolveService:
         overflows one device's global memory: a
         :class:`~repro.dist.DistributedSolver`, a
         :class:`~repro.dist.DeviceGroup`, or a device count (a group of
-        the service's default device is built). Oversized requests are
+        the service's default device is built here, so a bad value
+        fails at construction). Oversized requests are
         planned with a :class:`~repro.dist.DistPlan` and grouped by its
         signature, so plan-compatible oversized requests still merge
         into one distributed solve.
@@ -151,7 +161,7 @@ class BatchSolveService:
     def __init__(
         self,
         device: Union[Device, str] = "gtx470",
-        tuning: Union[SwitchPoints, str] = "static",
+        tuning: Union[SwitchPoints, str, "object", None] = "static",
         *,
         cache: Union[TuningCache, str, None] = None,
         max_workers: int = 4,
@@ -172,40 +182,27 @@ class BatchSolveService:
             raise ConfigurationError(f"max_workers must be >= 1, got {max_workers}")
         self.default_device = make_device(device)
         self.fuse = fuse
-        # Accept a TuningCache, anything cache-shaped (the serving
-        # tier's sharded cache quacks the same), or a path/None.
-        self.cache = (
-            cache
-            if isinstance(cache, TuningCache) or hasattr(cache, "get_or_tune")
-            else TuningCache(cache)
-        )
+        self.cache = resolve_cache(cache)
         self.verify = verify
-        if faults is not None and not hasattr(faults, "before_step"):
-            from ..faults import FaultInjector
-
-            faults = FaultInjector(faults)
-        self.faults = faults
+        self.faults = resolve_faults(faults)
         self.breaker = breaker
         self.max_group_systems = max_group_systems
         self.auto_flush = auto_flush
         self.submit_timeout = submit_timeout
         self.stats = ServiceStats()
-        self._tuning = tuning
+        self._tuning = resolve_tuning(tuning)
         self._queue: BoundedRequestQueue[ServiceRequest] = BoundedRequestQueue(
             max_pending=max_pending, policy=overflow
         )
         self._lock = threading.Lock()
         self._seq = 0
-        self._devices: Dict[str, Device] = {}
-        self._switch: Dict[Tuple[str, int], SwitchPoints] = {}
-        self._solvers: Dict[Tuple[str, int], MultiStageSolver] = {}
-        self._signatures: Dict[Tuple, Tuple] = {}
+        self._switch: LruMemo[SwitchPoints] = LruMemo("service_switch")
+        self._solvers: LruMemo[MultiStageSolver] = LruMemo("service_solvers")
+        self._signatures: LruMemo[Tuple] = LruMemo("service_signatures")
         # Dispatched groups' futures until each succeeds; a failed one
         # stays for drain() to re-raise. A dict keeps dispatch order.
         self._group_futures: Dict[Future, None] = {}
         self._closed = False
-        self._dist_config = dist
-        self._dist_solver: Optional[DistributedSolver] = None
         self.stats.attach_cache(self.cache)
         if self.faults is not None:
             self.stats.attach_fault_log(self.faults.log)
@@ -233,26 +230,11 @@ class BatchSolveService:
         # against the strictest member tolerance and escalates (see
         # repro.numerics). Shares the service's registry and tracer so
         # escalation/fallback rates land in the same dump.
-        from ..numerics import Governor
-
         self.governor = Governor(metrics=self.metrics, tracer=self.tracer)
-        # Last, so a constructor that raises leaves no live threads.
-        self.fleet = ScalableWorkerFleet(max_workers)
-
-    @property
-    def dist_solver(self) -> Optional[DistributedSolver]:
-        """The distributed backend, or ``None`` when not configured."""
-        if self._dist_config is None:
-            return None
-        with self._lock:
-            solver = self._dist_solver
-        if solver is not None:
-            return solver
-        if isinstance(self._dist_config, DistributedSolver):
-            solver = self._dist_config
-        else:
-            solver = DistributedSolver(
-                self._dist_config,
+        # The distributed backend, or None when not configured.
+        if dist is not None and not isinstance(dist, DistributedSolver):
+            dist = DistributedSolver(
+                dist,
                 self._tuning,
                 device=self.default_device,
                 cache=self.cache,
@@ -261,10 +243,9 @@ class BatchSolveService:
                 metrics=self.metrics,
                 tracer=self.tracer,
             )
-        with self._lock:
-            if self._dist_solver is None:
-                self._dist_solver = solver
-            return self._dist_solver
+        self.dist_solver: Optional[DistributedSolver] = dist
+        # Last, so a constructor that raises leaves no live threads.
+        self.fleet = ScalableWorkerFleet(max_workers)
 
     def _routes_to_dist(self, batch: TridiagonalBatch, dev: Device) -> bool:
         """Oversized for one device, and the group models that device."""
@@ -279,9 +260,7 @@ class BatchSolveService:
     # -- tuning / planning reuse -------------------------------------------
 
     def _device(self, device: Union[Device, str, None]) -> Device:
-        dev = self.default_device if device is None else make_device(device)
-        with self._lock:
-            return self._devices.setdefault(dev.name, dev)
+        return self.default_device if device is None else make_device(device)
 
     def switch_points_for(
         self, device: Union[Device, str, None] = None, dtype=np.float64
@@ -294,43 +273,29 @@ class BatchSolveService:
         """
         dev = self._device(device)
         dsize = dtype_size(np.dtype(dtype))
-        key = (dev.name, dsize)
-        with self._lock:
-            cached = self._switch.get(key)
-        if cached is not None:
-            return cached
-        if isinstance(self._tuning, SwitchPoints):
-            resolved = self._tuning
-        else:
-            strategy = self._tuning
-
-            def tune_now() -> SwitchPoints:
-                return make_tuner(strategy).switch_points(dev, 0, 0, dsize)
-
-            resolved = self.cache.get_or_tune(
-                dev.name, dsize, tune_now, workload_class="service"
-            )
-        with self._lock:
-            return self._switch.setdefault(key, resolved)
+        return self._switch.get_or_make(
+            (dev.name, dsize),
+            lambda: shape_free_switch_points(
+                self._tuning, self.cache, dev, dsize, "service"
+            ),
+        )
 
     def solver_for(
         self, device: Union[Device, str, None] = None, dtype=np.float64
     ) -> MultiStageSolver:
         """The (shared) solver executing merged solves for (device, dtype)."""
         dev = self._device(device)
-        dsize = dtype_size(np.dtype(dtype))
-        key = (dev.name, dsize)
-        with self._lock:
-            solver = self._solvers.get(key)
-        if solver is not None:
-            return solver
-        switch = self.switch_points_for(dev, dtype)
-        solver = MultiStageSolver(
-            dev, switch, verify=self.verify, faults=self.faults,
-            tracer=self.tracer, fuse=self.fuse,
+        return self._solvers.get_or_make(
+            (dev.name, dtype_size(np.dtype(dtype))),
+            lambda: MultiStageSolver(
+                dev,
+                self.switch_points_for(dev, dtype),
+                verify=self.verify,
+                faults=self.faults,
+                tracer=self.tracer,
+                fuse=self.fuse,
+            ),
         )
-        with self._lock:
-            return self._solvers.setdefault(key, solver)
 
     def plan_for(
         self, batch: TridiagonalBatch, device: Union[Device, str, None] = None
@@ -354,14 +319,9 @@ class BatchSolveService:
         signature is cached per (device, dtype, plan signature) — one
         lowering per distinct workload class, not per request.
         """
-        key = (device_label, dsize, plan.signature)
-        with self._lock:
-            sig = self._signatures.get(key)
-        if sig is not None:
-            return sig
-        sig = lower().signature
-        with self._lock:
-            return self._signatures.setdefault(key, sig)
+        return self._signatures.get_or_make(
+            (device_label, dsize, plan.signature), lambda: lower().signature
+        )
 
     # -- the request path ----------------------------------------------------
 
@@ -453,7 +413,7 @@ class BatchSolveService:
         request = ServiceRequest(
             seq=seq,
             batch=batch,
-            device=dev.name,
+            device=dev,
             key=key,
             plan=plan,
             deadline=deadline,
@@ -521,44 +481,14 @@ class BatchSolveService:
             )
         return True
 
-    def _enforce_group(
-        self,
-        merged: TridiagonalBatch,
-        first: ServiceRequest,
-        x: np.ndarray,
-        tolerance: float,
-    ) -> np.ndarray:
-        """Residual-verify a merged solve against ``tolerance``.
-
-        Escalates through one iterative-refinement step (re-executing
-        the group's own plan on the residual right-hand side — same
-        instruction stream, so bit-compatible with the merged solve)
-        before raising :class:`~repro.util.errors.NumericalBreakdownError`
-        for the bisection logic in :meth:`_execute_group` to isolate.
-        """
-
-        def refine(b: TridiagonalBatch, cur: np.ndarray) -> np.ndarray:
-            residual_rhs = b.d - b.matvec(cur)
-            rhs_batch = TridiagonalBatch(b.a, b.b, b.c, residual_rhs)
-            plan = first.plan.with_num_systems(b.num_systems)
-            if isinstance(first.plan, DistPlan):
-                correction = self.dist_solver.execute_plan(rhs_batch, plan).x
-            else:
-                solver = self.solver_for(first.device, b.dtype)
-                switch = self.switch_points_for(first.device, b.dtype)
-                correction = solver.execute_plan(rhs_batch, plan, switch).x
-            return cur + correction
-
-        outcome = self.governor.enforce(
-            merged,
-            x,
-            tolerance,
-            refine=refine,
-            resolve=None,
-            path="service",
-            context="merged group solve",
-        )
-        return outcome.x
+    def _execute_merged(self, batch: TridiagonalBatch, first: ServiceRequest):
+        """Run ``first``'s plan, widened to ``batch``, on its backend."""
+        plan = first.plan.with_num_systems(batch.num_systems)
+        if isinstance(plan, DistPlan):
+            return self.dist_solver.execute_plan(batch, plan)
+        solver = self.solver_for(first.device, batch.dtype)
+        switch = self.switch_points_for(first.device, batch.dtype)
+        return solver.execute_plan(batch, plan, switch)
 
     def _execute_group(self, group: SolveGroup) -> None:
         """One merged solve; bisect on typed errors, enforce deadlines."""
@@ -571,25 +501,28 @@ class BatchSolveService:
         try:
             merged = group.merged_batch()
             first = group.requests[0]
-            if isinstance(first.plan, DistPlan):
-                result = self.dist_solver.execute_plan(
-                    merged, first.plan.with_num_systems(merged.num_systems)
-                )
-            else:
-                solver = self.solver_for(group.key.device, merged.dtype)
-                switch = self.switch_points_for(group.key.device, merged.dtype)
-                result = solver.execute_plan(
-                    merged, first.plan.with_num_systems(merged.num_systems), switch
-                )
+            result = self._execute_merged(merged, first)
             # Governed groups: verify the merged answer against the
-            # strictest member tolerance and walk the escalation ladder.
-            # A NumericalBreakdownError raised here is a *typed* error,
-            # so the bisection below isolates the offending member and
-            # its group-mates still get (individually verified) answers.
+            # strictest member tolerance and walk the escalation ladder:
+            # one refinement step re-runs the group's own plan on the
+            # residual (same instruction stream, so bit-compatible with
+            # the merged solve). A NumericalBreakdownError raised here
+            # is a *typed* error, so the bisection below isolates the
+            # offending member and its group-mates still get
+            # (individually verified) answers.
             x_out = result.x
             tolerance = group.strictest_tolerance()
             if tolerance is not None:
-                x_out = self._enforce_group(merged, first, x_out, tolerance)
+                x_out = self.governor.enforce(
+                    merged,
+                    x_out,
+                    tolerance,
+                    refine=residual_refinement(
+                        lambda b: self._execute_merged(b, first).x
+                    ),
+                    path="service",
+                    context="merged group solve",
+                ).x
         except ReproError as exc:
             if len(live) > 1:
                 # A typed failure in a merged batch: one member may be

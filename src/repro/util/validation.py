@@ -21,7 +21,9 @@ __all__ = [
     "next_power_of_two",
     "check_dtype",
     "check_same_shape",
+    "check_finite_batch",
     "check_system_batch",
+    "resolve_faults",
     "ilog2",
 ]
 
@@ -78,16 +80,9 @@ def check_dtype(arr: np.ndarray, name: str) -> np.dtype:
     return arr.dtype
 
 
-def check_system_batch(batch, *, context: str = "request"):
-    """Reject malformed systems with a typed :class:`InvalidSystemError`.
-
-    The service-boundary gate: NaN/Inf anywhere in the coefficients or
-    right-hand side, or an exactly-zero main-diagonal entry, fails fast
-    with the offending system's index instead of propagating as a
-    garbage solution or a raw numpy warning deep inside a merged group
-    solve. Two vectorised reductions over the batch — cheap relative to
-    any solve. Returns ``batch`` so call sites can chain.
-    """
+def check_finite_batch(batch, *, context: str = "request"):
+    """Reject NaN/Inf anywhere in ``batch`` with a typed
+    :class:`InvalidSystemError` naming the first such system."""
     finite = (
         np.isfinite(batch.a).all(axis=1)
         & np.isfinite(batch.b).all(axis=1)
@@ -100,6 +95,19 @@ def check_system_batch(batch, *, context: str = "request"):
             f"{context}: system {index} contains NaN or Inf coefficients",
             system_index=index,
         )
+
+
+def check_system_batch(batch, *, context: str = "request"):
+    """Reject malformed systems with a typed :class:`InvalidSystemError`.
+
+    The service-boundary gate: NaN/Inf anywhere in the coefficients or
+    right-hand side, or an exactly-zero main-diagonal entry, fails fast
+    with the offending system's index instead of propagating as a
+    garbage solution or a raw numpy warning deep inside a merged group
+    solve. Two vectorised reductions over the batch — cheap relative to
+    any solve. Returns ``batch`` so call sites can chain.
+    """
+    check_finite_batch(batch, context=context)
     diag_ok = (batch.b != 0).all(axis=1)
     if not diag_ok.all():
         index = int(np.argmin(diag_ok))
@@ -121,3 +129,14 @@ def check_same_shape(arrays: Sequence[np.ndarray], names: Iterable[str]) -> tupl
                 f"{name} has shape {shape}, expected {first} (same as {names[0]})"
             )
     return first
+
+
+def resolve_faults(faults):
+    """A front end's ``faults=`` as the injector it uses: ``None`` or a
+    :class:`~repro.faults.FaultInjector` (or a view of one) as given, a
+    bare :class:`~repro.faults.FaultPlan` in its own injector."""
+    if faults is None or hasattr(faults, "before_step"):
+        return faults
+    from ..faults import FaultInjector  # repro.faults imports the front ends
+
+    return FaultInjector(faults)
