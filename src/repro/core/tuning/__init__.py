@@ -90,7 +90,8 @@ def shape_free_switch_points(
 
     ``tuning`` is a :func:`resolve_tuning` result: switch points are used
     as given, a strategy name is tuned once through ``cache`` under
-    ``workload_class``, and a tuner is asked directly at shape (0, 0).
+    ``(workload_class, name)``, so front ends of different strategies
+    can share one cache, and a tuner is asked directly at shape (0, 0).
     """
     if isinstance(tuning, SwitchPoints):
         return tuning
@@ -99,6 +100,6 @@ def shape_free_switch_points(
             device.name,
             dsize,
             lambda: make_tuner(tuning).switch_points(device, 0, 0, dsize),
-            workload_class=workload_class,
+            workload_class=(workload_class, tuning),
         )
     return tuning.switch_points(device, 0, 0, dsize)

@@ -58,10 +58,24 @@ step tile by tile, so the per-step scratch stays in cache. It never
 writes the arrays it was built from unless told it owns them, in which
 case they become its spare buffer set once the first split has read
 them.
+
+Every array the chain writes, and ``Pad``'s private copy, comes from
+one helper, :func:`_new`. A NumPy binary ufunc whose output does not
+start on a 64-byte cache line splits its vector stores across two
+lines, which halves its speed on tiles from about 16 KiB up; NumPy
+itself places a large array 16 bytes past a page. So an array of at
+least :data:`_ALIGNED_BYTES` starts on a line, and with it every tile
+and Thomas row whose byte offset is a multiple of 64. A smaller array
+is a plain allocation, because aligning costs a few microseconds a call
+and a small chain does not earn that back. Alignment changes no
+operation and no order, so answers do not change by a bit. The
+caller's arrays, which the chain only reads, and the row-major answer
+are left as they come.
 """
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -78,6 +92,14 @@ __all__ = ["SplitChain", "FactoredChain"]
 # Elements per tile of a PCR step: the alpha/gamma/tmp scratch and the
 # tile's neighbour reads stay in cache.
 _TILE = 1 << 14
+
+# Cache-line bytes, and the smallest array _new starts on a line. A
+# binary ufunc whose output does not start on a line splits its vector
+# stores across two lines, which from about 16 KiB up halves its speed;
+# starting an array on a line costs a few microseconds a call, which
+# whole chains repaid from about 64 KiB arrays up.
+_LINE = 64
+_ALIGNED_BYTES = 1 << 16
 
 
 class SplitChain:
@@ -127,7 +149,7 @@ class SplitChain:
         return cls((work.a, work.b, work.c, work.d), owned)
 
     def _buffers(self, count: int) -> List[np.ndarray]:
-        return [np.empty((self.n, self.m), dtype=self.dtype) for _ in range(count)]
+        return [_new((self.n, self.m), self.dtype) for _ in range(count)]
 
     def _step_buffers(self) -> List[np.ndarray]:
         """A fresh destination set; a plane that does not span its
@@ -135,8 +157,7 @@ class SplitChain:
         full = (0, self.n * self.m)
         dst = self._buffers(3)
         for extent in self._extents:
-            alloc = np.empty if extent == full else np.zeros
-            dst.append(alloc((self.n, self.m), dtype=self.dtype))
+            dst.append(_new((self.n, self.m), self.dtype, zeroed=extent != full))
         return dst
 
     def split(self, steps: int) -> None:
@@ -155,7 +176,8 @@ class SplitChain:
             raise ConfigurationError(
                 f"cannot split a size-{size} system {steps} times"
             )
-        scratch = np.empty((3, _TILE), dtype=self.dtype)
+        width = min(_TILE, self.n * self.m)
+        scratch = [_new((width,), self.dtype) for _ in range(3)]
         stride = self.groups
         for _ in range(steps):
             dst = self._spare or self._step_buffers()
@@ -182,7 +204,7 @@ class SplitChain:
         """PCR until ``thomas_switch`` subsystems, then Thomas."""
         if self.n == self.groups:
             b = self._arrays[1]
-            x = np.empty((self.planes, self.n, self.m), dtype=self.dtype)
+            x = _new((self.planes, self.n, self.m), self.dtype)
             for xk, d in zip(x, self._arrays[3:]):
                 np.divide(d, b, out=xk)
             return x.reshape(self._rhs_shape)
@@ -201,9 +223,9 @@ class SplitChain:
         a, b, c, *ds = (arr.reshape(rows, width) for arr in self._arrays)
         scratch = self._spare or self._buffers(1 + self.planes)
         cp, *dps = (buf.reshape(rows, width) for buf in scratch[: 1 + self.planes])
-        x = np.empty((self.planes, rows, width), dtype=self.dtype)
+        x = _new((self.planes, rows, width), self.dtype)
         # One pivot row, reused: nothing replays it.
-        betas = [np.empty(width, dtype=self.dtype)] * rows
+        betas = [_new((width,), self.dtype)] * rows
         check = self._check_pivots if check else None
         _sweep(a, betas, cp, list(zip(ds, dps)), x, (b, c, check))
         return x.reshape(self._rhs_shape)
@@ -236,12 +258,15 @@ class FactoredChain:
 
     def __init__(self, batch: TridiagonalBatch, steps: int):
         m, n = self.shape = batch.shape
-        matrix = (np.array(arr.T, order="C") for arr in (batch.a, batch.b, batch.c))
+        # The transposed matrix, which the chain recycles as its spare set.
+        matrix = [_new((n, m), batch.dtype) for _ in range(3)]
+        for copy, arr in zip(matrix, (batch.a, batch.b, batch.c)):
+            np.copyto(copy, arr.T)
         chain = SplitChain((*matrix, np.empty((0, n, m), dtype=batch.dtype)), owned=True)
         self._steps: List[Tuple[np.ndarray, np.ndarray, int]] = []
         chain._split(steps, self._steps)
         self._a, b, c = (arr.reshape(n >> steps, m << steps) for arr in chain._arrays)
-        self._beta, self._cp = np.empty((2,) + self._a.shape, dtype=batch.dtype)
+        self._beta, self._cp = (_new(self._a.shape, batch.dtype) for _ in range(2))
         _sweep(self._a, list(self._beta), self._cp, [], [], (b, c, chain._check_pivots))
 
     def solve(self, d: np.ndarray) -> np.ndarray:
@@ -261,9 +286,10 @@ class FactoredChain:
                 f"got {d_stack.shape}"
             )
         # (r, n, m) planes, a private copy the steps ping-pong.
-        planes = np.array(np.swapaxes(d_stack, 1, 2), order="C").reshape(len(d_stack), -1)
-        spare = np.empty_like(planes)
-        tmp = np.empty(_TILE, dtype=planes.dtype)
+        m, n = self.shape
+        planes, spare = (_new((len(d_stack), n * m), d_stack.dtype) for _ in range(2))
+        np.copyto(planes.reshape(-1, n, m), np.swapaxes(d_stack, 1, 2))
+        tmp = _new((min(_TILE, n * m),), d_stack.dtype)
         # Every plane spans its system.
         reach = [(0, planes.shape[1])] * len(planes)
         for alpha, gamma, off in self._steps:
@@ -275,8 +301,20 @@ class FactoredChain:
         # Back substitution reads only d', so x may overwrite d.
         dps = spare.reshape(ds.shape)
         _sweep(self._a, list(self._beta), self._cp, list(zip(ds, dps)), ds)
-        m, n = self.shape
         return np.ascontiguousarray(np.swapaxes(planes.reshape(-1, n, m), 1, 2))
+
+
+def _new(shape: Tuple[int, ...], dtype, zeroed: bool = False) -> np.ndarray:
+    """A new C-contiguous array, zero-filled if ``zeroed``. One of at
+    least :data:`_ALIGNED_BYTES` starts on a cache line: it is cut from
+    an allocation one line longer."""
+    dtype = np.dtype(dtype)
+    alloc = np.zeros if zeroed else np.empty
+    nbytes = math.prod(shape) * dtype.itemsize
+    if nbytes < _ALIGNED_BYTES:
+        return alloc(shape, dtype=dtype)
+    raw = alloc(nbytes + _LINE, dtype=np.uint8)
+    return np.ndarray(shape, dtype, raw, -raw.ctypes.data % _LINE)
 
 
 def _sweep(a, betas, cp, planes, x, matrix=None) -> None:
@@ -287,7 +325,7 @@ def _sweep(a, betas, cp, planes, x, matrix=None) -> None:
     array these are :func:`~repro.algorithms.thomas.thomas_solve`'s
     operations in its order."""
     rows, width = a.shape
-    tmp = np.empty(width, dtype=a.dtype)
+    tmp = _new((width,), a.dtype)
     # Row views, built once: indexing a list is cheaper than an array.
     a, cp = list(a), list(cp)
     planes = [(list(d), list(dp)) for d, dp in planes]
@@ -387,7 +425,7 @@ def _pcr_step(src, dst, off, scratch, extents, kept=None) -> list:
     anything and finds ``b'`` not all finite runs again with every
     plane spanning its system.
     """
-    identity = tuple(scratch.dtype.type(v) for v in (0, 1, 0))
+    identity = tuple(src[1].dtype.type(v) for v in (0, 1, 0))
     matrix, planes, out = src[:3], src[3:], dst[:3]
     length = src[1].size
     reach = [
@@ -395,7 +433,7 @@ def _pcr_step(src, dst, off, scratch, extents, kept=None) -> list:
         for lo, hi in extents
     ]
     for cur, lo, hi in _segments(length, off):
-        alpha, gamma, tmp = scratch[:, : cur.stop - cur.start]
+        alpha, gamma, tmp = (arr[: cur.stop - cur.start] for arr in scratch)
         if kept is not None:
             alpha, gamma = (arr[cur] for arr in kept)
         below = identity if lo is None else [arr[lo] for arr in matrix]

@@ -48,7 +48,7 @@ from ..util.errors import PlanError
 from ..util.validation import next_power_of_two
 from .base import KernelContext
 from .batched import BatchedSweepKernel
-from .chain import SplitChain
+from .chain import SplitChain, _new
 from .coop_pcr import CoopPcrKernel
 from .elementwise import ReconstructKernel, TransposeKernel
 from .global_pcr import GlobalPcrKernel
@@ -149,7 +149,7 @@ def _load(
     arrays = (batch.a, batch.b, batch.c, batch.d)
     if m == 1 and n == size:
         return BatchedTridiagonal(*(np.swapaxes(arr, -1, -2) for arr in arrays)), False
-    loaded = [np.empty(arr.shape[:-2] + (size, m), dtype=batch.dtype) for arr in arrays]
+    loaded = [_new(arr.shape[:-2] + (size, m), batch.dtype) for arr in arrays]
     for out, arr, fill in zip(loaded, arrays, (0, 1, 0, 0)):
         out[..., :n, :], out[..., n:, :] = np.swapaxes(arr, -1, -2), fill
     return BatchedTridiagonal(*loaded), True

@@ -75,6 +75,25 @@ def dominant_batches(draw, min_size=1, max_size=256, pow2=True):
     return generators.random_dominant(m, n, dominance=dominance, rng=seed)
 
 
+def misaligned(batch, offset: int):
+    """``batch`` (row-major or shared-matrix) with every array copied to
+    start ``offset`` bytes past a 64-byte cache line; ``offset`` is
+    rounded down to a multiple of the itemsize."""
+    offset -= offset % batch.dtype.itemsize
+
+    def copy(arr):
+        raw = np.empty(arr.nbytes + 64 + offset, dtype=np.uint8)
+        out = np.ndarray(arr.shape, arr.dtype, raw, -raw.ctypes.data % 64 + offset)
+        out[...] = arr
+        return out
+
+    return type(batch)(*(copy(arr) for arr in (batch.a, batch.b, batch.c, batch.d)))
+
+
+#: A byte offset past a cache line, for :func:`misaligned`.
+line_offsets = st.integers(min_value=0, max_value=63)
+
+
 def assert_close_to_oracle(batch: TridiagonalBatch, x, *, factor: float = 1.0):
     """Assert ``x`` matches the scipy banded oracle within a scaled tol."""
     from repro.algorithms import default_tolerance, scipy_banded_solve

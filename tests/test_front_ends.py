@@ -127,6 +127,20 @@ def test_the_shape_free_front_ends_agree_on_switch_points(tuning):
         assert dist.switch_points_for(8) == service.switch_points_for()
 
 
+@pytest.mark.parametrize("front", ["dist", "service"])
+def test_each_strategy_keeps_its_own_tuning_in_a_shared_cache(front):
+    """A dynamic front end built after a static one on the same cache is
+    tuned dynamically, as it would be with a cache of its own."""
+    cache = TuningCache()
+    sources = []
+    for tuning in ("static", "dynamic"):
+        with _opened(FRONTS[front](tuning, cache=cache)) as built:
+            points = built.switch_points_for(8) if front == "dist" else built.switch_points_for()
+            sources.append(points.source)
+    assert sources == ["static", "dynamic"]
+    assert cache.counters()["entries"] == 2
+
+
 @pytest.mark.parametrize("cache", CACHES)
 @pytest.mark.parametrize("front", ["dist", "service", "async"])
 def test_every_cache_form_is_the_cache_in_use(front, cache, tmp_path):

@@ -16,8 +16,10 @@ how it solves a drawn case; all paths plan with the case's one explicit
 - ``GOVERNED`` — a tolerance-governed approximate solve is within its
   tolerance.
 
-Every :class:`~repro.core.MultiStageSolver` line also holds execute mode
-to price mode: equal ``total_ms``, ``stage_ms()`` and span trees.
+The drawn batches start at a drawn byte offset past a cache line, which
+may change no bit. Every :class:`~repro.core.MultiStageSolver` line
+also holds execute mode to price mode: equal ``total_ms``,
+``stage_ms()`` and span trees.
 Adding a path is one line in :data:`PATHS`.
 """
 
@@ -44,7 +46,7 @@ from repro.service import BatchSolveService
 from repro.systems import generators
 from repro.systems.tridiagonal import SharedMatrixBatch
 from repro.util.validation import ilog2, is_power_of_two, next_power_of_two
-from tests.conftest import examples
+from tests.conftest import examples, line_offsets, misaligned
 
 DEVICE = make_device("gtx470")
 DIST_DEVICES = 3
@@ -113,9 +115,11 @@ def _cases(draw):
         base_variant=draw(st.sampled_from(["coalesced", "strided"])),
     )
     seed = draw(st.integers(min_value=0, max_value=2**16))
+    # The caller's arrays start anywhere past a cache line.
+    offset = draw(line_offsets)
     return Case(
-        batch=generators.random_dominant(m, n, rng=seed, dtype=dtype),
-        twin=generators.random_dominant(m, n, rng=seed + 1, dtype=dtype),
+        batch=misaligned(generators.random_dominant(m, n, rng=seed, dtype=dtype), offset),
+        twin=misaligned(generators.random_dominant(m, n, rng=seed + 1, dtype=dtype), offset),
         switch=switch,
         extra_planes=tuple(
             draw(

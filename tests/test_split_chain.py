@@ -14,6 +14,12 @@ The host keeps one layout: ``Pad`` loads the systems-innermost
 ``(n_pad, m)`` view, ``Interleave`` moves no data, and ``Unpad`` unloads
 the row-major answer; the layout-contract tests pin each of those.
 
+The caller's arrays may start anywhere: the drawn cases copy them to a
+drawn byte offset past a cache line, and no offset may change a bit.
+Every array of at least the chain's alignment limit that the chain or
+``Pad`` allocates starts on a 64-byte line; a smaller one is a plain
+allocation.
+
 A :class:`SharedMatrixBatch` of ``r`` right-hand-side planes must solve
 and fail exactly like the tiled batch it stands for, priced the same,
 while the chain does the matrix's work once: the operation-count tests
@@ -39,7 +45,9 @@ from repro.gpu import make_device
 from repro.ir import (
     Engine,
     Interleave,
+    OnChipSolve,
     Pad,
+    SplitBlock,
     SplitCoop,
     Step,
     Unpad,
@@ -52,7 +60,7 @@ from repro.systems.batched import BatchedTridiagonal
 from repro.systems.tridiagonal import SharedMatrixBatch, TridiagonalBatch
 from repro.util.errors import ShapeError, SingularSystemError
 from repro.util.validation import ilog2, next_power_of_two
-from tests.conftest import examples
+from tests.conftest import examples, line_offsets, misaligned
 from tests.test_oracle import reference_solve
 
 DEVICE = make_device("gtx470")
@@ -138,6 +146,7 @@ def _cases(draw):
         dtype=draw(st.sampled_from([np.float32, np.float64])),
         fuse=draw(st.booleans()),
         planes=draw(st.sampled_from([None, 1, 2, 3])),
+        offset=draw(line_offsets),
     )
 
 
@@ -159,6 +168,7 @@ class TestAgainstGatheredReference:
             case["m"], case["n"], rng=seed, dtype=case["dtype"]
         )
         work, tiled = _with_planes(batch, case["planes"], seed)
+        work = misaligned(work, case["offset"])
         plan = _plan(
             tiled.num_systems,
             case["n"],
@@ -225,6 +235,7 @@ class TestAgainstGatheredReference:
             generators.random_dominant(m, n, rng=seed, dtype=case["dtype"]), rows
         )
         work, tiled = _with_planes(batch, case["planes"], seed)
+        work = misaligned(work, case["offset"])
         plan = _plan(
             tiled.num_systems, n, case["k1"], case["k2"], case["thomas_switch"]
         )
@@ -267,6 +278,7 @@ class TestImpulsePlanes:
             b[data.draw(st.integers(min_value=0, max_value=m - 1)), data.draw(row)] = 0
             batch = TridiagonalBatch(batch.a, b, batch.c, batch.d)
         work, tiled = _impulses(batch, rows, seed)
+        work = misaligned(work, case["offset"])
         plan = _plan(
             tiled.num_systems, n, case["k1"], case["k2"], case["thomas_switch"]
         )
@@ -358,6 +370,84 @@ class TestAllocation:
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * batch.nbytes
+
+
+class _RecordingNumpy:
+    """``numpy``, keeping every array its allocating functions return."""
+
+    ALLOCATING = ("empty", "zeros", "empty_like", "zeros_like", "array", "ndarray")
+
+    def __init__(self):
+        self.arrays = []
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if name not in self.ALLOCATING:
+            return attr
+
+        def recorded(*args, **kwargs):
+            self.arrays.append(attr(*args, **kwargs))
+            return self.arrays[-1]
+
+        return recorded
+
+    def take(self):
+        arrays, self.arrays = self.arrays, []
+        return arrays
+
+
+class TestAlignment:
+    """Every value array of at least ``chain._ALIGNED_BYTES`` that ``Pad``
+    or the chain allocates starts on a 64-byte cache line, so NumPy's
+    vector stores into it never straddle two lines; a smaller one is a
+    plain allocation. The caller's arrays, here 8 bytes past a line,
+    and the row-major answer are left as they come."""
+
+    @staticmethod
+    def _check(numpy, *live):
+        """The value arrays allocated since the last check, and ``live``."""
+        made = [arr for arr in numpy.take() if arr.dtype.kind == "f"]
+        large = [arr for arr in made + list(live) if arr.nbytes >= chain._ALIGNED_BYTES]
+        assert large
+        assert [arr.ctypes.data % 64 for arr in large] == [0] * len(large)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_pad_steps_and_solve(self, monkeypatch, dtype):
+        m, n = 3, 1 << 14  # 192 KiB per f32 array
+        batch = misaligned(generators.random_dominant(m, n, rng=10, dtype=dtype), 8)
+        numpy = _RecordingNumpy()
+        monkeypatch.setattr(chain, "np", numpy)
+        state = ExecState.for_batch(batch)
+        _run(state, Pad(n))
+        self._check(numpy, *_coeffs(state.work))
+        for op in (SplitCoop(2), SplitBlock(2, start_stride=4)):
+            _run(state, op)  # step buffers, spare and scratch
+            self._check(numpy, *state.chain._arrays, *state.chain._spare)
+        _run(state, OnChipSolve(thomas_switch=8, variant="coalesced", stride=16))
+        self._check(numpy, state.x)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_factor_and_replay(self, monkeypatch, dtype):
+        m, n = 3, 1 << 14
+        batch = misaligned(generators.random_dominant(m, n, rng=11, dtype=dtype), 8)
+        numpy = _RecordingNumpy()
+        monkeypatch.setattr(chain, "np", numpy)
+        factors = factorize(batch, 4)
+        kept = [arr for alpha, gamma, _ in factors._steps for arr in (alpha, gamma)]
+        self._check(numpy, *kept, factors._a, factors._beta, factors._cp)
+        factors.solve_many(np.stack([batch.d, batch.d]))
+        self._check(numpy)
+
+    def test_a_small_chain_allocates_plain_arrays(self, monkeypatch):
+        batch = generators.random_dominant(3, 256, rng=12)  # 6 KiB per array
+        numpy = _RecordingNumpy()
+        monkeypatch.setattr(chain, "np", numpy)
+        state = ExecState.for_batch(batch)
+        _run(state, Pad(256), SplitCoop(2), OnChipSolve(8, "coalesced", 4))
+        factorize(batch, 3).solve(batch.d)
+        made = numpy.take()
+        assert made
+        assert all(arr.dtype == batch.dtype and arr.base is None for arr in made)
 
 
 class _CountingNumpy:
