@@ -140,11 +140,11 @@ def _table(summary: dict) -> str:
     return "\n".join(rows)
 
 
-def record(row: dict, path: Path = RECORD) -> None:
-    """Append ``row`` to the JSON list at ``path``."""
-    rows = json.loads(path.read_text()) if path.exists() else []
+def record(row: dict) -> None:
+    """Append ``row`` to the JSON list in :data:`RECORD`."""
+    rows = json.loads(RECORD.read_text()) if RECORD.exists() else []
     rows.append(row)
-    path.write_text(json.dumps(rows, indent=1) + "\n")
+    RECORD.write_text(json.dumps(rows, indent=1) + "\n")
 
 
 def main(argv=None) -> int:
