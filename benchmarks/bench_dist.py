@@ -11,11 +11,12 @@ The acceptance bar is >= 3x simulated speedup at 8 devices over 1 on the
 carry three right-hand sides — data plus two coupling spikes — so ideal
 SPIKE scaling is p/3 once chunks leave the overhead-dominated regime).
 
-An *overlap* sweep rides along: the same 2^22-row workload priced under
-the fused rows schedule (hub reduced exchange, staged local solves) vs
-the ``pipelined`` mode (interleaved local sweeps + neighbour-pipelined
-reduced system). Acceptance there is >= 1.3x at 16-32 devices with
-bit-identical solutions.
+An *overlap* sweep rides along: the same 2^22-row workload priced in
+``rows`` mode (one staged 3-RHS local solve per device, then the hub
+reduced exchange; its schedule label is ``fused``) vs the ``pipelined``
+mode (interleaved local sweeps + neighbour-pipelined reduced system).
+Acceptance there is >= 1.3x at 16-32 devices with bit-identical
+solutions.
 
 Runs both as a pytest bench (``pytest benchmarks/bench_dist.py``) and as
 a script (``python benchmarks/bench_dist.py [--smoke]``); either way the
@@ -96,7 +97,7 @@ def render_sweep(records, title):
 
 
 def run_overlap_sweep(counts=OVERLAP_COUNTS):
-    """Price the fused rows schedule vs the pipelined mode.
+    """Price rows mode (the fused hub exchange) vs the pipelined mode.
 
     Same workload, same chunk split, bit-identical solutions — the
     records isolate what the overlap-aware schedule (fused interleaved
@@ -107,9 +108,9 @@ def run_overlap_sweep(counts=OVERLAP_COUNTS):
     last_report = None
     for count in counts:
         group = make_device_group(DEVICE, count, LINK, TOPOLOGY)
-        _, fused_report = DistributedSolver(
-            group, mode="rows", schedule="fused"
-        ).price(NUM_SYSTEMS, STRONG_SIZE, DTYPE_SIZE)
+        _, fused_report = DistributedSolver(group, mode="rows").price(
+            NUM_SYSTEMS, STRONG_SIZE, DTYPE_SIZE
+        )
         _, pipe_report = DistributedSolver(group, mode="pipelined").price(
             NUM_SYSTEMS, STRONG_SIZE, DTYPE_SIZE
         )

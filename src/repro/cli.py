@@ -484,6 +484,7 @@ def _program_diff(before, after) -> str:
 
 
 def _cmd_plan(args, out) -> int:
+    from .ir import Engine, run_default_passes
     from .systems import Workload, paper_workloads
 
     workload = _parse_workload(args.workload)
@@ -494,7 +495,6 @@ def _cmd_plan(args, out) -> int:
 
     if args.devices > 1:
         from .dist import DistributedSolver, render_overlap_gantt
-        from .ir import Engine
 
         solver = DistributedSolver(
             args.devices,
@@ -508,20 +508,20 @@ def _cmd_plan(args, out) -> int:
             m, n, args.dtype_size, tolerance=args.tolerance
         )
         program = solver.lower(plan, args.dtype_size)
-        run = Engine.for_group(solver.group).price(program)
+        engine = Engine.for_group(solver.group)
         out.write(f"group    : {solver.group.describe()}\n")
     else:
         from .core import simulate_plan
-        from .ir import Engine
 
         device = make_device(args.device)
         solver = MultiStageSolver(device, args.tuning)
         switch = solver.switch_points_for(m, n, args.dtype_size)
         plan, _ = simulate_plan(device, m, n, args.dtype_size, switch)
         program = plan.lower(device, args.dtype_size)
-        run = Engine.for_device(device).price(program)
+        engine = Engine.for_device(device)
         out.write(f"device   : {device.name}\n")
         out.write(f"tuning   : {switch.describe()}\n")
+    run = engine.price(program)
     out.write(f"workload : {m} x {n} (dtype {args.dtype_size}B)\n")
     out.write(plan.describe() + "\n\n")
     out.write(program.describe() + "\n\n")
@@ -547,17 +547,8 @@ def _cmd_plan(args, out) -> int:
     if args.tolerance is not None:
         out.write("\n" + _governor_report(args, m, n) + "\n")
     if args.fuse:
-        if args.devices > 1:
-            fused = plan.lower(
-                solver.group,
-                args.dtype_size,
-                solver.switch_points_for(args.dtype_size),
-                fuse=True,
-            )
-            fused_run = Engine.for_group(solver.group).price(fused)
-        else:
-            fused = plan.lower(device, args.dtype_size, fuse=True)
-            fused_run = Engine.for_device(device).price(fused)
+        fused = run_default_passes(program, fuse=True)
+        fused_run = engine.price(fused)
         out.write("\nbatched fusion diff (unfused -> fused):\n")
         out.write(_program_diff(program, fused) + "\n\n")
         priced_steps(fused, fused_run)

@@ -78,6 +78,9 @@ class HybridDispatcher:
     ):
         self.device = make_device(device)
         self.tuner = tuner or SelfTuner()
+        # One GPU solver for every GPU solve, so its lowered programs
+        # are reused.
+        self.gpu_solver = MultiStageSolver(self.device, self.tuner)
         self.cpu_solver = MklLikeCpuSolver(cpu)
         # The distributed engine, or None when not configured. ``dist``
         # may be a DistributedSolver, a DeviceGroup, or a device count
@@ -160,8 +163,7 @@ class HybridDispatcher:
         """Solve on the chosen engine; returns ``(x, choice)``."""
         choice = self.choose(batch)
         if choice.engine == "gpu":
-            result = MultiStageSolver(self.device, self.tuner).solve(batch)
-            return result.x, choice
+            return self.gpu_solver.solve(batch).x, choice
         if choice.engine == "dist":
             return self.dist_solver.solve(batch).x, choice
         return self.cpu_solver.solve(batch).x, choice

@@ -3,15 +3,17 @@
 A :class:`DistPlan` is to the :class:`~repro.dist.solver.DistributedSolver`
 what a :class:`~repro.core.SolvePlan` is to the single-device solver: a
 pure, frozen description of how a workload executes — here, how it is cut
-across a :class:`~repro.dist.topology.DeviceGroup`, which local plan each
-device runs, and which exchange schedule the pipeline follows.
+across a :class:`~repro.dist.topology.DeviceGroup` and which local plan
+each device runs. The exchange follows from the mode alone, so a plan,
+its group and a value size fix the lowered program.
 
 Two decomposition modes exist:
 
 - ``rows`` — one (or a few) enormous systems are split SPIKE-style into
   per-device row chunks; each device solves its chunk against three
-  right-hand sides and the chunks couple through a small 2×2-block
-  reduced system (see :mod:`repro.algorithms.spike`).
+  right-hand sides in one local solve, ships its six boundary values to
+  device 0, and the chunks couple through a small 2×2-block reduced
+  system solved there (see :mod:`repro.algorithms.spike`).
 - ``batch`` — a wide batch of small (on-chip) systems is sharded by
   system across devices with no coupling at all; communication is the
   scatter of coefficients and the gather of solutions.
@@ -30,7 +32,7 @@ to the staged chain) and the exact reduced system is solved by
 pipelining block Thomas's forward/backward sweeps neighbour to
 neighbour (see :func:`repro.ir.lower._lower_pipelined` and
 :mod:`repro.dist.partition`). Solutions are bit-identical to ``rows``;
-only the schedule differs.
+only the priced program differs.
 
 Like ``SolvePlan``, a ``DistPlan`` carries a :attr:`~DistPlan.signature`
 — everything that fixes the per-system arithmetic except the system
@@ -52,7 +54,6 @@ from .partition import batch_shares
 __all__ = ["DistPlan", "batch_shares"]
 
 MODES = ("rows", "batch", "approx", "pipelined")
-ROWS_SCHEDULES = ("fused", "split")
 # Modes that decompose by rows and share the SPIKE 3-RHS local solves
 # (and hence the 3m widening rule and chunk-derived signatures).
 ROWS_LIKE_MODES = ("rows", "approx", "pipelined")
@@ -67,7 +68,6 @@ class DistPlan:
     num_systems: int  # m, the workload's system count
     system_size: int  # n, raw (pre-padding) size
     chunk_sizes: Tuple[int, ...]  # rows: per-device rows; batch: per-device m
-    schedule: str  # rows: "fused" | "split"; batch: "pipelined"
     topology: str  # Interconnect.describe() of the group
     device_name: str  # name of the (homogeneous) member devices
     local_plans: Tuple[SolvePlan, ...]  # one per active device
@@ -79,6 +79,14 @@ class DistPlan:
             raise ConfigurationError(
                 "one local plan per active device is required"
             )
+
+    @property
+    def schedule(self) -> str:
+        """The exchange label, fixed by the mode: ``"fused"`` for rows
+        and approx (one 3-RHS local solve, then the exchange),
+        ``"pipelined"`` for the neighbour sweep and batch's
+        scatter/gather."""
+        return "fused" if self.mode in ("rows", "approx") else "pipelined"
 
     @property
     def num_active_devices(self) -> int:
@@ -142,19 +150,16 @@ class DistPlan:
             local_plans=local,
         )
 
-    def lower(self, group, dtype_size: int, switch, *, fuse: bool = False):
+    def lower(self, group, dtype_size: int):
         """Lower to a multi-device :class:`~repro.ir.Program`.
 
-        ``switch`` is the group's resolved switch points (the split rows
-        schedule re-plans the spike and data solves). With ``fuse=True``
-        the local fragments lower as interleaved batched sweeps (the
-        pipelined mode always fuses). The program is what the shared
-        :class:`~repro.ir.Engine` prices into the distributed makespan
-        report.
+        The program is what the shared :class:`~repro.ir.Engine` prices
+        into the distributed makespan report; see
+        :func:`~repro.ir.lower.lower_dist_plan`.
         """
         from ..ir.lower import lower_dist_plan
 
-        return lower_dist_plan(self, group, dtype_size, switch, fuse=fuse)
+        return lower_dist_plan(self, group, dtype_size)
 
     def describe(self) -> str:
         """Multi-line human-readable plan."""

@@ -8,10 +8,11 @@ worth one device's time — by partitioning across a
 - **rows mode** (SPIKE-style): each device receives a contiguous row
   chunk of every system and runs the full multi-stage solver on it
   against three right-hand sides (the data plus the two coupling
-  spikes); chunk boundaries couple through a tiny 2×2-block reduced
-  system solved on device 0; a final fused-multiply-add reconstructs.
-  The math is exactly :mod:`repro.algorithms.spike` with the chunk
-  solves placed on devices.
+  spikes) in one solve; chunk boundaries couple through a tiny
+  2×2-block reduced system solved on device 0; a final
+  fused-multiply-add reconstructs. The math is exactly
+  :mod:`repro.algorithms.spike` with the chunk solves placed on
+  devices.
 - **batch mode**: a wide batch of on-chip-size systems is sharded by
   system; no coupling, the cost is the scatter/gather pipeline.
 - **pipelined mode**: rows mode with fused (interleaved) local solves
@@ -70,7 +71,7 @@ from .partition import (
     truncated_reduced_solve,
 )
 from .pipeline import DistReport, failover_report
-from .plan import DistPlan, batch_shares
+from .plan import MODES, DistPlan, batch_shares
 from .topology import DeviceGroup, make_device_group
 
 __all__ = ["DistSolveResult", "DistributedSolver", "working_set_nbytes"]
@@ -115,10 +116,8 @@ class DistributedSolver:
         a persistent one; memory-only when omitted.
     mode:
         ``"rows"``, ``"batch"``, ``"approx"``, ``"pipelined"``, or
-        ``"auto"`` (price every feasible mode, keep the fastest).
-    schedule:
-        Rows-mode exchange schedule: ``"fused"``, ``"split"``, or
-        ``"auto"`` (price both, keep the faster).
+        ``"auto"`` (price every feasible mode, keep the fastest; approx
+        joins only a governed solve).
     faults:
         Optional :class:`~repro.faults.FaultInjector` (or a bare
         :class:`~repro.faults.FaultPlan`). Local solves then run under
@@ -137,7 +136,6 @@ class DistributedSolver:
         link="pcie3",
         topology: str = "all_to_all",
         mode: str = "auto",
-        schedule: str = "auto",
         cache: Union[TuningCache, str, None] = None,
         verify: bool = False,
         faults=None,
@@ -149,12 +147,9 @@ class DistributedSolver:
         elif isinstance(group, int):
             group = make_device_group(device, group, link, topology)
         self.group = group
-        if mode not in ("auto", "rows", "batch", "approx", "pipelined"):
+        if mode != "auto" and mode not in MODES:
             raise ConfigurationError(f"unknown dist mode {mode!r}")
-        if schedule not in ("auto", "fused", "split"):
-            raise ConfigurationError(f"unknown rows schedule {schedule!r}")
         self.mode = mode
-        self.schedule = schedule
         self.verify = verify
         self.cache = resolve_cache(cache)
         self._tuning = resolve_tuning(tuning)
@@ -228,7 +223,7 @@ class DistributedSolver:
         """The instruction program for ``plan``, memoised per dtype."""
         return self._programs.get_or_make(
             (plan, dsize),
-            lambda: plan.lower(self.group, dsize, self.switch_points_for(dsize)),
+            lambda: plan.lower(self.group, dsize),
         )
 
     def _report_for(self, plan: DistPlan, dsize: int) -> DistReport:
@@ -290,25 +285,20 @@ class DistributedSolver:
         if self.mode != "auto":
             modes: Tuple[str, ...] = (self.mode,)
         else:
-            # The pipelined candidate joins only under schedule="auto":
-            # an explicit fused/split schedule pins the rows exchange,
-            # and the pipelined sweep is neither.
-            modes = ("rows", "batch")
-            if self.schedule == "auto":
-                modes = modes + ("pipelined",)
+            modes = ("rows", "batch", "pipelined")
             if approx_allowed:
                 modes = modes + ("approx",)
         for mode in modes:
             try:
-                if mode in ("rows", "approx", "pipelined"):
+                if mode == "batch":
+                    candidates.append(
+                        self._price_batch(num_systems, system_size, dsize)
+                    )
+                else:
                     candidates.append(
                         self._price_rows(
                             num_systems, system_size, dsize, mode=mode
                         )
-                    )
-                else:
-                    candidates.append(
-                        self._price_batch(num_systems, system_size, dsize)
                     )
             except ReproError as exc:
                 errors.append(f"{mode}: {exc}")
@@ -320,26 +310,29 @@ class DistributedSolver:
             )
         return min(candidates, key=lambda pair: pair[1].total_ms)
 
-    def _rows_plan(
+    def _priced(
         self,
+        mode: str,
         m: int,
         n: int,
+        dsize: int,
         chunk_sizes: Tuple[int, ...],
-        schedule: str,
         local_plans: Tuple,
-        mode: str = "rows",
-    ) -> DistPlan:
-        return DistPlan(
+    ) -> Tuple[DistPlan, DistReport]:
+        """Check every local plan fits a device, then plan and price."""
+        for local in local_plans:
+            self._check_local_memory(local, dsize)
+        plan = DistPlan(
             mode=mode,
             num_devices=len(chunk_sizes),
             num_systems=m,
             system_size=n,
             chunk_sizes=chunk_sizes,
-            schedule=schedule,
             topology=self.group.interconnect.describe(),
             device_name=self.group.device_name,
             local_plans=local_plans,
         )
+        return plan, self._report_for(plan, dsize)
 
     def _price_rows(
         self, m: int, n: int, dsize: int, *, mode: str = "rows"
@@ -358,45 +351,16 @@ class DistributedSolver:
                     "device has no reduced sweep to pipeline)"
                 )
             local = plan_solve(self.group[0], m, n, dsize, switch)
-            self._check_local_memory(local, dsize)
-            plan = self._rows_plan(m, n, (n,), "fused", (local,))
-            return plan, self._report_for(plan, dsize)
+            return self._priced("rows", m, n, dsize, (n,), (local,))
+        # Rows, approx and pipelined share the chunk split and the 3-RHS
+        # local solves; the lowering derives each one's exchange.
         bounds = partition_bounds(n, p)
         chunk_sizes = tuple(stop - start for start, stop in bounds)
         local_plans = tuple(
             plan_solve(self.group[i], 3 * m, chunk_sizes[i], dsize, switch)
             for i in range(p)
         )
-        for local in local_plans:
-            self._check_local_memory(local, dsize)
-        if mode == "approx":
-            # The truncated path keeps the fused 3-RHS local solves; the
-            # split schedule exists to overlap the reduced solve, which
-            # approx mode does not have.
-            plan = self._rows_plan(
-                m, n, chunk_sizes, "fused", local_plans, mode="approx"
-            )
-            return plan, self._report_for(plan, dsize)
-        if mode == "pipelined":
-            # Same chunk split as rows; the lowering fuses the local
-            # solves and sweeps the exact reduced system neighbour to
-            # neighbour, so the fused/split schedule choice is moot.
-            plan = self._rows_plan(
-                m, n, chunk_sizes, "pipelined", local_plans, mode="pipelined"
-            )
-            return plan, self._report_for(plan, dsize)
-        schedules = (
-            ("fused", "split") if self.schedule == "auto" else (self.schedule,)
-        )
-        best = None
-        for sched in schedules:
-            plan = self._rows_plan(m, n, chunk_sizes, sched, local_plans)
-            report = self._report_for(plan, dsize)
-            # Ties keep the earlier (fused) schedule, matching the
-            # historical auto rule.
-            if best is None or report.total_ms < best[1].total_ms:
-                best = (plan, report)
-        return best
+        return self._priced(mode, m, n, dsize, chunk_sizes, local_plans)
 
     def _price_batch(
         self, m: int, n: int, dsize: int
@@ -423,20 +387,7 @@ class DistributedSolver:
         local_plans = tuple(
             template.with_num_systems(share) for share in shares
         )
-        for local in local_plans:
-            self._check_local_memory(local, dsize)
-        plan = DistPlan(
-            mode="batch",
-            num_devices=p,
-            num_systems=m,
-            system_size=n,
-            chunk_sizes=shares,
-            schedule="pipelined",
-            topology=self.group.interconnect.describe(),
-            device_name=self.group.device_name,
-            local_plans=local_plans,
-        )
-        return plan, self._report_for(plan, dsize)
+        return self._priced("batch", m, n, dsize, shares, local_plans)
 
     def _check_local_memory(self, local_plan, dsize: int) -> None:
         nbytes = working_set_nbytes(
@@ -566,10 +517,10 @@ class DistributedSolver:
             )
         try:
             try:
-                if plan.mode in ("rows", "approx", "pipelined"):
-                    result = self._execute_rows(batch, plan, dsize, switch)
-                else:
+                if plan.mode == "batch":
                     result = self._execute_batch(batch, plan, dsize, switch)
+                else:
+                    result = self._execute_rows(batch, plan, dsize, switch)
             except DeviceLostError as exc:
                 result = self._failover(batch, plan, dsize, switch, exc)
             else:
@@ -673,7 +624,6 @@ class DistributedSolver:
             subgroup,
             switch,
             mode="auto",
-            schedule=self.schedule,
             cache=self.cache,
             faults=inj.for_survivors(survivors),
             metrics=self.metrics,

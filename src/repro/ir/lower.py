@@ -37,10 +37,9 @@ __all__ = ["lower_solve_plan", "lower_dist_plan", "concat_solve_programs"]
 _SOLVE_STAGES = ("stage1_coop_pcr", "stage2_global_pcr", "stage3_pcr_thomas")
 
 # Values exchanged per system in rows mode (see repro.dist.solver): the
-# four spike boundary values, the two data boundary values, and the two
+# four spike and two data boundary values sent to device 0, and the two
 # correction values coming back.
-_SPIKE_VALUES = 4.0
-_DATA_VALUES = 2.0
+_BOUNDARY_VALUES = 6.0
 _CORRECTION_VALUES = 2.0
 
 # Approx (truncated-SPIKE) mode moves only neighbour-to-neighbour
@@ -180,81 +179,73 @@ def _local_fragment(
     return len(steps) - 1
 
 
-def lower_dist_plan(
-    plan, group, dtype_size: int, switch, *, fuse: bool = False
-) -> Program:
+def lower_dist_plan(plan, group, dtype_size: int) -> Program:
     """Lower a :class:`DistPlan` to a multi-device ``dist`` program.
 
-    ``switch`` is the group's resolved switch points — the split rows
-    schedule re-plans the spike and data solves separately. With
-    ``fuse=True`` the batched-fusion pass rewrites every self-contained
-    local fragment into interleaved sweeps (the multi-device composition
-    of ``--fuse``); the pipelined mode fuses unconditionally —
-    interleaved local solves are part of its definition.
+    The plan's mode fixes the exchange, so the program depends on the
+    plan, the group and the value size alone:
+
+    - ``rows`` — one 3-RHS local solve per device, its six boundary
+      values sent to device 0, the reduced solve there, two correction
+      values back (:func:`_lower_rows`);
+    - ``approx`` — the same local solves, neighbour tips and
+      per-interface 2×2 solves (:func:`_lower_approx`);
+    - ``pipelined`` — fused local solves and the reduced system swept
+      neighbour to neighbour (:func:`_lower_pipelined`);
+    - ``batch`` — scatter, whole-system local solves, gather
+      (:func:`_lower_batch`).
+
+    Local fragments lower staged except in pipelined mode, whose
+    interleaved sweeps are part of its definition; running
+    :func:`~repro.ir.passes.run_default_passes` with ``fuse=True`` on
+    the result fuses the others (what ``repro plan --fuse`` shows).
     """
     if plan.mode == "batch":
-        return _lower_batch(plan, group, dtype_size, fuse=fuse)
+        return _lower_batch(plan, group, dtype_size)
     if plan.mode == "pipelined" and plan.num_devices > 1:
         return _lower_pipelined(plan, group, dtype_size)
     if plan.mode == "approx" and plan.num_devices > 1:
-        return _lower_approx(plan, group, dtype_size, fuse=fuse)
-    return _lower_rows(plan, group, dtype_size, switch, fuse=fuse)
+        return _lower_approx(plan, group, dtype_size)
+    return _lower_rows(plan, group, dtype_size)
 
 
-def _lower_rows(plan, group, dtype_size: int, switch, *, fuse: bool = False) -> Program:
-    from ..core.planner import plan_solve
-
-    p = plan.num_devices
-    m = plan.num_systems
-    label = group.describe()
-    names = tuple(d.name for d in group)
-    if p == 1:
-        steps: List[Step] = []
-        _local_fragment(steps, plan.local_plans[0], 0, "local_solve", ())
-        return run_default_passes(
-            Program(
-                kind="dist",
-                label=label,
-                device_names=(group.device_name,),
-                dtype_size=dtype_size,
-                num_systems=m,
-                system_size=plan.system_size,
-                schedule=plan.schedule,
-                topology=plan.topology,
-                steps=tuple(steps),
+def _dist_program(
+    plan, group, dtype_size: int, steps, *, fuse: bool = False
+) -> Program:
+    """``steps`` as ``plan``'s ``dist`` program over its active devices,
+    through the default passes."""
+    return run_default_passes(
+        Program(
+            kind="dist",
+            label=group.describe(),
+            device_names=tuple(
+                group[i].name for i in range(plan.num_active_devices)
             ),
-            fuse=fuse,
-        )
+            dtype_size=dtype_size,
+            num_systems=plan.num_systems,
+            system_size=plan.system_size,
+            schedule=plan.schedule,
+            topology=plan.topology,
+            steps=tuple(steps),
+        ),
+        fuse=fuse,
+    )
 
-    steps = []
+
+def _lower_rows(plan, group, dtype_size: int) -> Program:
+    """The hub program: every device solves its chunk against three
+    right-hand sides in one fragment and sends its boundary values to
+    device 0, which solves the reduced system and sends each device its
+    corrections for the reconstruction."""
+    m = plan.num_systems
+    steps: List[Step] = []
+    if plan.num_devices == 1:
+        _local_fragment(steps, plan.local_plans[0], 0, "local_solve", ())
+        return _dist_program(plan, group, dtype_size, steps)
+
     boundary_sends: List[int] = []
     for i, chunk in enumerate(plan.chunk_sizes):
-        if plan.schedule == "fused":
-            last = _local_fragment(
-                steps, plan.local_plans[i], i, "local_solve", ()
-            )
-            values = _SPIKE_VALUES + _DATA_VALUES
-        else:
-            spike_plan = plan_solve(group[i], 2 * m, chunk, dtype_size, switch)
-            spike_last = _local_fragment(steps, spike_plan, i, "spike_solve", ())
-            steps.append(
-                Step(
-                    op=Transfer(_SPIKE_VALUES, i, 0),
-                    device=i,
-                    engine="xfer",
-                    stage="send_spikes",
-                    shape=(m, chunk),
-                    deps=(spike_last,),
-                )
-            )
-            data_plan = plan_solve(group[i], m, chunk, dtype_size, switch)
-            # The data solve waits on the spike *compute*, not the spike
-            # message; the device's egress lane queues the boundary
-            # message behind the spike message by lane contention.
-            last = _local_fragment(
-                steps, data_plan, i, "data_solve", (spike_last,)
-            )
-            values = _DATA_VALUES
+        last = _local_fragment(steps, plan.local_plans[i], i, "local_solve", ())
         # Boundary messages physically converge on device 0: every
         # cross-device transfer claims the destination's ingress lane
         # (see Step.resource_keys), so the hub serialisation falls out
@@ -263,7 +254,7 @@ def _lower_rows(plan, group, dtype_size: int, switch, *, fuse: bool = False) -> 
         # high device counts comes from here.
         steps.append(
             Step(
-                op=Transfer(values, i, 0),
+                op=Transfer(_BOUNDARY_VALUES, i, 0),
                 device=i,
                 engine="xfer",
                 stage="send_boundary",
@@ -273,7 +264,7 @@ def _lower_rows(plan, group, dtype_size: int, switch, *, fuse: bool = False) -> 
         )
         boundary_sends.append(len(steps) - 1)
 
-    reduced_size = max(2, next_power_of_two(2 * p))
+    reduced_size = max(2, next_power_of_two(2 * plan.num_devices))
     steps.append(
         Step(
             op=ReducedSolve(reduced_size),
@@ -304,23 +295,10 @@ def _lower_rows(plan, group, dtype_size: int, switch, *, fuse: bool = False) -> 
                 deps=(len(steps) - 1,),
             )
         )
-    return run_default_passes(
-        Program(
-            kind="dist",
-            label=label,
-            device_names=names,
-            dtype_size=dtype_size,
-            num_systems=m,
-            system_size=plan.system_size,
-            schedule=plan.schedule,
-            topology=plan.topology,
-            steps=tuple(steps),
-        ),
-        fuse=fuse,
-    )
+    return _dist_program(plan, group, dtype_size, steps)
 
 
-def _lower_approx(plan, group, dtype_size: int, *, fuse: bool = False) -> Program:
+def _lower_approx(plan, group, dtype_size: int) -> Program:
     """The truncated-SPIKE program: no reduced system, no hub device.
 
     Every device runs the same fused 3-RHS local solve as rows mode,
@@ -393,20 +371,7 @@ def _lower_approx(plan, group, dtype_size: int, *, fuse: bool = False) -> Progra
                 deps=tuple(deps),
             )
         )
-    return run_default_passes(
-        Program(
-            kind="dist",
-            label=group.describe(),
-            device_names=tuple(d.name for d in group),
-            dtype_size=dtype_size,
-            num_systems=m,
-            system_size=plan.system_size,
-            schedule=plan.schedule,
-            topology=plan.topology,
-            steps=tuple(steps),
-        ),
-        fuse=fuse,
-    )
+    return _dist_program(plan, group, dtype_size, steps)
 
 
 def _lower_pipelined(plan, group, dtype_size: int) -> Program:
@@ -534,24 +499,10 @@ def _lower_pipelined(plan, group, dtype_size: int) -> Program:
                 deps=tuple(deps),
             )
         )
-
-    return run_default_passes(
-        Program(
-            kind="dist",
-            label=group.describe(),
-            device_names=tuple(d.name for d in group),
-            dtype_size=dtype_size,
-            num_systems=m,
-            system_size=plan.system_size,
-            schedule=plan.schedule,
-            topology=plan.topology,
-            steps=tuple(steps),
-        ),
-        fuse=True,
-    )
+    return _dist_program(plan, group, dtype_size, steps, fuse=True)
 
 
-def _lower_batch(plan, group, dtype_size: int, *, fuse: bool = False) -> Program:
+def _lower_batch(plan, group, dtype_size: int) -> Program:
     """The batch-mode program: the host scatters whole systems, every
     device solves its share, and the solutions gather back.
 
@@ -596,17 +547,4 @@ def _lower_batch(plan, group, dtype_size: int, *, fuse: bool = False) -> Program
                 deps=(solved[i],),
             )
         )
-    return run_default_passes(
-        Program(
-            kind="dist",
-            label=group.describe(),
-            device_names=tuple(group[i].name for i in range(len(shares))),
-            dtype_size=dtype_size,
-            num_systems=plan.num_systems,
-            system_size=n,
-            schedule=plan.schedule,
-            topology=plan.topology,
-            steps=tuple(steps),
-        ),
-        fuse=fuse,
-    )
+    return _dist_program(plan, group, dtype_size, steps)

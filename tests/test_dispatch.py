@@ -3,7 +3,7 @@
 import pytest
 
 from repro.algorithms import max_residual
-from repro.core import HybridDispatcher
+from repro.core import HybridDispatcher, MultiStageSolver
 from repro.systems import generators
 from repro.util.errors import ConfigurationError
 
@@ -70,6 +70,25 @@ class TestSolve:
         x, used = dispatcher.solve(batch)
         assert used.engine == "cpu"
         assert max_residual(batch, x) < 1e-12
+
+    def test_gpu_solves_reuse_one_solver(self, monkeypatch):
+        """GPU solves run on the solver the dispatcher built, so its
+        lowered programs are reused."""
+        dispatcher = HybridDispatcher("gtx470")
+        built = []
+        init = MultiStageSolver.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(MultiStageSolver, "__init__", counted)
+        batch = generators.random_dominant(64, 512, rng=2)
+        for _ in range(3):
+            x, choice = dispatcher.solve(batch)
+            assert choice.engine == "gpu"
+            assert max_residual(batch, x) < 1e-12
+        assert built == []
 
     def test_choice_reports_both_prices(self, dispatcher):
         batch = generators.random_dominant(64, 512, rng=2)

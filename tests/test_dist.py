@@ -74,11 +74,10 @@ class TestEquivalence:
         result = DistributedSolver(4, mode="batch").solve(batch)
         np.testing.assert_array_equal(result.x, single_device_reference(batch))
 
-    @pytest.mark.parametrize("schedule", ["fused", "split"])
-    def test_rows_schedules_agree(self, schedule):
+    def test_rows_mode_agrees(self):
         batch = generators.random_dominant(2, 2048, rng=8)
-        result = DistributedSolver(4, schedule=schedule, verify=True).solve(batch)
-        assert result.plan.schedule == schedule
+        result = DistributedSolver(4, mode="rows", verify=True).solve(batch)
+        assert result.plan.schedule == "fused"
         assert rel_error(result.x, single_device_reference(batch)) <= REL_TOL_F64
 
 
@@ -139,6 +138,67 @@ class TestCostModel:
         _, priced = solver.price(2, 4096, 8)
         executed = solver.solve(batch).report
         assert priced.total_ms == pytest.approx(executed.total_ms, rel=1e-9)
+
+
+# Compute stages of the exchange; every other compute event of a priced
+# dist program belongs to a local solve.
+EXCHANGE_STAGES = frozenset(
+    {
+        "reduced_solve",
+        "interface_solve",
+        "reduced_forward",
+        "reduced_backward",
+        "reconstruct",
+    }
+)
+
+
+def priced_local_ms(report):
+    return sum(
+        event.duration_ms
+        for timeline in report.timelines
+        for event in timeline.events
+        if event.kind == "compute" and event.label not in EXCHANGE_STAGES
+    )
+
+
+class TestPricedLocalSolves:
+    """A dist plan's report prices the local solves that execute."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("topology", ["all_to_all", "ring"])
+    @pytest.mark.parametrize(
+        "mode, count, m, n",
+        [
+            ("rows", 1, 2, 2048),
+            ("rows", 4, 2, 2048),
+            ("approx", 4, 2, 2048),
+            ("pipelined", 4, 2, 2048),
+            ("batch", 4, 64, 128),
+        ],
+    )
+    def test_priced_local_compute_is_executed(
+        self, mode, count, m, n, topology, dtype
+    ):
+        group = make_device_group("gtx470", count, "pcie3", topology)
+        batch = generators.random_dominant(m, n, rng=count, dtype=dtype)
+        result = DistributedSolver(group, mode=mode).solve(batch)
+        assert result.plan.mode == mode
+        executed = sum(r.total_ms for r in result.local_reports)
+        assert priced_local_ms(result.report) == pytest.approx(
+            executed, rel=1e-12
+        )
+
+    def test_auto_plan_prices_its_executed_local_solves(self):
+        # At the shape where auto once picked a split exchange that
+        # priced a spike solve and a data solve per device (0.98779 ms)
+        # while each device ran one 3-RHS solve (0.96779 ms).
+        batch = generators.random_dominant(1024, 1024, rng=21)
+        result = DistributedSolver(4).solve(batch)
+        executed = sum(r.total_ms for r in result.local_reports)
+        assert priced_local_ms(result.report) == pytest.approx(
+            executed, rel=1e-12
+        )
 
 
 def _count_prices(monkeypatch):

@@ -83,9 +83,9 @@ class TestPipelinedNumerics:
         # >= 1.3x priced speedup at 16 devices on the 2^22-row system.
         for count in (16, 32):
             group = make_device_group("gtx470", count, "pcie3", "all_to_all")
-            _, fused = DistributedSolver(
-                group, "static", mode="rows", schedule="fused"
-            ).price(1, 1 << 22, 8)
+            _, fused = DistributedSolver(group, "static", mode="rows").price(
+                1, 1 << 22, 8
+            )
             _, pipe = DistributedSolver(
                 group, "static", mode="pipelined"
             ).price(1, 1 << 22, 8)
@@ -95,14 +95,6 @@ class TestPipelinedNumerics:
         solver = DistributedSolver(1, "static", mode="pipelined")
         with pytest.raises(ConfigurationError):
             solver.price(1, 1 << 16, 8)
-
-    def test_explicit_schedule_keeps_pipelined_out_of_auto(self):
-        # schedule="fused" pins the rows exchange; the auto-mode race
-        # must then not return a pipelined plan.
-        solver = DistributedSolver(8, "static", schedule="fused")
-        plan, _ = solver.price(1, 1 << 22, 8)
-        assert plan.mode != "pipelined"
-        assert plan.schedule == "fused"
 
     def test_governed_pipelined_solve_is_exact(self):
         batch = generators.random_dominant(2, 1 << 13, rng=5)

@@ -610,14 +610,13 @@ def test_every_exported_opcode_is_lowered():
         programs += [
             lower_solve_plan(plan, device, 8, fuse=fuse) for fuse in (False, True)
         ]
-    for mode, schedule, m, n in [
-        ("rows", "fused", 1, 1 << 20),
-        ("rows", "split", 1, 1 << 20),
-        ("batch", "auto", 64, 1024),
-        ("approx", "auto", 1, 1 << 20),
-        ("pipelined", "auto", 1, 1 << 20),
+    for mode, m, n in [
+        ("rows", 1, 1 << 20),
+        ("batch", 64, 1024),
+        ("approx", 1, 1 << 20),
+        ("pipelined", 1, 1 << 20),
     ]:
-        solver = DistributedSolver(4, "static", mode=mode, schedule=schedule)
+        solver = DistributedSolver(4, "static", mode=mode)
         plan, _ = solver.price(m, n, 8)
         programs.append(solver.lower(plan, 8))
     emitted = {type(step.op) for program in programs for step in program.steps}
