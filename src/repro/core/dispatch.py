@@ -30,6 +30,7 @@ from ..baselines.mkl import INTEL_CORE_I5_34GHZ, CpuSpec, MklLikeCpuSolver
 from ..gpu.executor import Device, make_device
 from ..kernels import dtype_size
 from ..systems.tridiagonal import TridiagonalBatch
+from ..util.memo import LruMemo
 from ..util.validation import check_positive_int
 from .pricing import simulate_plan
 from .solver import MultiStageSolver
@@ -91,15 +92,26 @@ class HybridDispatcher:
             if not isinstance(dist, DistributedSolver):
                 dist = DistributedSolver(dist, device=self.device)
         self.dist_solver = dist
+        self._choices: LruMemo[HybridChoice] = LruMemo("dispatch_choices")
 
     # -- pricing & decision ---------------------------------------------------
 
     def price(
         self, num_systems: int, system_size: int, dsize: int = 4
     ) -> HybridChoice:
-        """Model both engines for a workload shape and pick the faster."""
+        """Model both engines for a workload shape and pick the faster.
+
+        Memoised per shape: every price it reads is a pure function of
+        the shape once the tuner has tuned the shape's class.
+        """
         check_positive_int(num_systems, "num_systems")
         check_positive_int(system_size, "system_size")
+        return self._choices.get_or_make(
+            (num_systems, system_size, dsize),
+            lambda: self._price(num_systems, system_size, dsize),
+        )
+
+    def _price(self, num_systems: int, system_size: int, dsize: int) -> HybridChoice:
         working_set = 5 * num_systems * system_size * dsize
         if (
             self.dist_solver is not None

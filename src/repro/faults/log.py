@@ -12,9 +12,10 @@ path is recorded here.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 __all__ = ["FaultEvent", "FaultLog"]
 
@@ -54,6 +55,12 @@ class FaultEvent:
             "penalty_ms": self.penalty_ms,
             "detail": self.detail,
         }
+
+
+def _overhead_ms(events: Iterable[FaultEvent]) -> float:
+    """The events' summed penalties, correctly rounded, so the total does
+    not depend on the order concurrent workers recorded them in."""
+    return math.fsum(e.penalty_ms for e in events)
 
 
 class FaultLog:
@@ -109,7 +116,7 @@ class FaultLog:
     @property
     def overhead_ms(self) -> float:
         """Total simulated recovery cost across every event."""
-        return sum(e.penalty_ms for e in self.events())
+        return _overhead_ms(self.events())
 
     def summary(self) -> dict:
         """JSON-able roll-up for stats snapshots and campaign reports."""
@@ -121,7 +128,7 @@ class FaultLog:
         return {
             "events": len(events),
             "counts": counts,
-            "overhead_ms": sum(e.penalty_ms for e in events),
+            "overhead_ms": _overhead_ms(events),
         }
 
     def describe(self) -> str:

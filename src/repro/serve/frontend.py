@@ -21,12 +21,26 @@ request stream produces *identical group assignments and bit-identical
 solutions* whichever door it came through — the parity property the
 tests pin. Nothing numeric happens on the event loop; solves run on
 the fleet and the loop only awaits their futures.
+
+Answers reach the loop through one relay per loop. A worker finishing a
+request posts it to the relay; the first post of a burst schedules one
+drain with ``call_soon_threadsafe``, and every post that finds that
+drain still pending joins it. So a flush wakes the loop about once,
+not once per request as :func:`asyncio.wrap_future` would. Like
+``wrap_future``, cancelling the awaited future cancels the request
+(the service then skips it), a drain skips cancelled futures, and
+posts to a closed loop are dropped. A pending drain is held only by
+the loop's own callback queue, so a relay never keeps a closed loop
+alive.
 """
 
 from __future__ import annotations
 
 import asyncio
+import threading
+import weakref
 from concurrent.futures import Future
+from functools import partial
 from typing import List, Optional, Sequence, Union
 
 from ..core.tuning import resolve_cache
@@ -38,6 +52,68 @@ from .autoscaler import Autoscaler, AutoscalerPolicy
 from .shards import ShardedTuningCache
 
 __all__ = ["AsyncSolveService"]
+
+
+class _Burst(list):
+    """Completions one scheduled drain delivers: (loop future, service
+    future) pairs. Only the drain's callback holds it strongly."""
+
+    __slots__ = ("__weakref__",)
+
+
+def _cancel_request(request: Future, awaited: "asyncio.Future") -> None:
+    if awaited.cancelled():
+        request.cancel()
+
+
+class _LoopRelay:
+    """Resolves one event loop's futures from worker threads, one loop
+    wakeup per burst of completions."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        # Weak reference to the burst whose drain has not run yet.
+        self._open: "Optional[weakref.ref]" = None
+
+    def wrap(self, request: Future, loop) -> "asyncio.Future":
+        """A future of ``loop`` that settles as ``request`` does."""
+        awaited = loop.create_future()
+        awaited.add_done_callback(partial(_cancel_request, request))
+        request.add_done_callback(partial(self._post, awaited))
+        return awaited
+
+    def _post(self, awaited: "asyncio.Future", request: Future) -> None:
+        """Runs on whichever thread settled ``request``."""
+        loop = awaited.get_loop()
+        if loop.is_closed():
+            return
+        with self._lock:
+            burst = self._open() if self._open is not None else None
+            if burst is not None:
+                burst.append((awaited, request))
+                return
+            burst = _Burst([(awaited, request)])
+            self._open = weakref.ref(burst)
+        try:
+            loop.call_soon_threadsafe(self._drain, burst)
+        except RuntimeError:
+            pass  # the loop closed meanwhile; the burst dies with this frame
+
+    def _drain(self, burst: _Burst) -> None:
+        with self._lock:
+            if self._open is not None and self._open() is burst:
+                self._open = None
+        for awaited, request in burst:
+            if awaited.cancelled():
+                continue
+            if request.cancelled():
+                awaited.cancel()
+                continue
+            error = request.exception()
+            if error is None:
+                awaited.set_result(request.result())
+            else:
+                awaited.set_exception(error)
 
 
 class AsyncSolveService:
@@ -114,6 +190,9 @@ class AsyncSolveService:
         )
         self.fleet = self.service.fleet
         self.fleet.attach_metrics(self.metrics)
+        # A loop's relay is made on that loop's thread, the one thread
+        # that looks it up.
+        self._relays: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
         self.autoscaler: Optional[Autoscaler] = None
         if autoscale:
             policy = (
@@ -188,10 +267,11 @@ class AsyncSolveService:
     ) -> "asyncio.Future[ServiceResult]":
         """Awaitable submission: admit + enqueue now, result later.
 
-        Returns an :class:`asyncio.Future` resolving to the request's
+        Returns a future of the running loop resolving to the request's
         :class:`~repro.service.ServiceResult`; gather a stream of them
         after :meth:`flush`. Typed admission/backpressure errors raise
-        here, before anything is queued.
+        here, before anything is queued. Cancelling the future cancels
+        the request.
         """
         inner = self.submit_sync(
             batch,
@@ -202,7 +282,11 @@ class AsyncSolveService:
             deadline_ms=deadline_ms,
             tolerance=tolerance,
         )
-        return asyncio.wrap_future(inner)
+        loop = asyncio.get_running_loop()
+        relay = self._relays.get(loop)
+        if relay is None:
+            relay = self._relays[loop] = _LoopRelay()
+        return relay.wrap(inner, loop)
 
     async def solve(
         self,

@@ -12,9 +12,15 @@ requests; the service
    :class:`~repro.ir.Program`, the exact step sequence the shared
    engine will run — into single merged
    :class:`~repro.systems.TridiagonalBatch` solves, and
-4. executes the groups concurrently on a
+4. runs each :meth:`~BatchSolveService.flush` as one task on a
    :class:`~repro.service.fleet.ScalableWorkerFleet` (``service.fleet``),
-   with queue backpressure (``max_pending`` + block/reject policy).
+   with queue backpressure (``max_pending`` + block/reject policy). A
+   flush's groups run in group order on that one warm worker; a failing
+   group fails only its own requests, and :meth:`~BatchSolveService.drain`
+   re-raises what escaped it. Flushes run concurrently, one per worker.
+   Merged solves of a few thousand rows hold the interpreter lock for
+   most of their run, so two workers on one flush would only take turns
+   on it and pay each handoff.
 
 Merged solves amortise the per-launch overhead that dominates small
 workloads — the simulated analogue of the interleaved batch solvers of
@@ -103,9 +109,9 @@ class BatchSolveService:
         :class:`~repro.serve.shards.ShardedTuningCache`), or the path of
         a persistent one. Created memory-only when omitted.
     max_workers:
-        Initial width of :attr:`fleet`, the worker threads executing
-        merged solves concurrently (the serving tier's autoscaler may
-        resize it).
+        Initial width of :attr:`fleet`, the worker threads running
+        flushes concurrently, each flush's groups in order on one
+        worker (the serving tier's autoscaler may resize it).
     max_pending / overflow / submit_timeout:
         Backpressure: the pending queue holds at most ``max_pending``
         requests; ``overflow="block"`` waits (up to ``submit_timeout``
@@ -199,9 +205,9 @@ class BatchSolveService:
         self._switch: LruMemo[SwitchPoints] = LruMemo("service_switch")
         self._solvers: LruMemo[MultiStageSolver] = LruMemo("service_solvers")
         self._signatures: LruMemo[Tuple] = LruMemo("service_signatures")
-        # Dispatched groups' futures until each succeeds; a failed one
+        # Dispatched flushes' futures until each succeeds; a failed one
         # stays for drain() to re-raise. A dict keeps dispatch order.
-        self._group_futures: Dict[Future, None] = {}
+        self._flush_futures: Dict[Future, None] = {}
         self._closed = False
         self.stats.attach_cache(self.cache)
         if self.faults is not None:
@@ -434,7 +440,8 @@ class BatchSolveService:
         return request.future
 
     def flush(self) -> int:
-        """Group everything pending and dispatch the groups to the pool.
+        """Group everything pending and dispatch the groups to the fleet
+        as one task, which runs them in group order.
 
         Returns the number of merged solves dispatched.
         """
@@ -445,24 +452,45 @@ class BatchSolveService:
         groups = group_requests(
             pending, max_group_systems=self.max_group_systems
         )
-        for group in groups:
-            fut = self.fleet.submit(self._run_group, group)
-            with self._lock:
-                self._group_futures[fut] = None
-            fut.add_done_callback(self._release_group)
+        fut = self.fleet.submit(self._run_groups, groups)
+        with self._lock:
+            self._flush_futures[fut] = None
+        fut.add_done_callback(self._release_flush)
         return len(groups)
 
-    def _release_group(self, fut: Future) -> None:
-        """Forget a group's future once it succeeded; keep a failed or
+    def _release_flush(self, fut: Future) -> None:
+        """Forget a flush's future once it succeeded; keep a failed or
         cancelled one so that :meth:`drain` re-raises it."""
         if not fut.cancelled() and fut.exception() is None:
             with self._lock:
-                self._group_futures.pop(fut, None)
+                self._flush_futures.pop(fut, None)
+
+    def _run_groups(self, groups: List[SolveGroup]) -> None:
+        """Worker body of a flush: its groups in order on this thread.
+
+        A group whose run raises leaves the later groups running; the
+        first such error is re-raised once every group has run.
+        """
+        failure: Optional[BaseException] = None
+        for group in groups:
+            try:
+                self._run_group(group)
+            except BaseException as exc:  # re-raised below
+                if failure is None:
+                    failure = exc
+        if failure is not None:
+            raise failure
 
     def _run_group(self, group: SolveGroup) -> None:
-        """Worker body: one merged solve, fanned back out to futures."""
+        """One merged solve of the requests still awaited, fanned back
+        out to their futures."""
         if self.faults is not None:
             self.faults.maybe_stall(group.key.describe())
+        # A request whose caller cancelled it is not solved; the others
+        # can no longer be cancelled once their solve starts.
+        live = [r for r in group.requests if r.future.set_running_or_notify_cancel()]
+        if len(live) != len(group.requests):
+            group = SolveGroup(key=group.key, requests=live)
         self._execute_group(group)
 
     def _expire(self, req: ServiceRequest, when: str) -> bool:
@@ -605,11 +633,11 @@ class BatchSolveService:
     # -- lifecycle ------------------------------------------------------------
 
     def drain(self) -> None:
-        """Block until every dispatched group has finished; re-raise the
-        first failure of a group since the last drain."""
+        """Block until every dispatched flush has finished; re-raise the
+        first failure that escaped a group since the last drain."""
         with self._lock:
-            futures = list(self._group_futures)
-            self._group_futures.clear()
+            futures = list(self._flush_futures)
+            self._flush_futures.clear()
         for fut in futures:
             fut.result()
 

@@ -90,6 +90,28 @@ class TestSolve:
             assert max_residual(batch, x) < 1e-12
         assert built == []
 
+    def test_a_priced_shape_is_not_priced_again(self, monkeypatch):
+        import repro.core.dispatch as dispatch
+
+        dispatcher = HybridDispatcher("gtx470")
+        first = dispatcher.price(64, 512, 8)
+        calls = []
+        simulate_plan = dispatch.simulate_plan
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return simulate_plan(*args, **kwargs)
+
+        monkeypatch.setattr(dispatch, "simulate_plan", counted)
+        batch = generators.random_dominant(64, 512, rng=2)
+        choices = [dispatcher.price(64, 512, 8), dispatcher.choose(batch)]
+        for _ in range(2):
+            x, choice = dispatcher.solve(batch)
+            assert max_residual(batch, x) < 1e-12
+            choices.append(choice)
+        assert calls == []
+        assert all(choice == first for choice in choices)
+
     def test_choice_reports_both_prices(self, dispatcher):
         batch = generators.random_dominant(64, 512, rng=2)
         choice = dispatcher.choose(batch)

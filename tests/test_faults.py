@@ -122,6 +122,15 @@ class TestFaultLog:
         assert summary["counts"]["stall:injected"] == 1
         assert len(log.events()) == 3
 
+    def test_overhead_does_not_depend_on_event_order(self):
+        totals = set()
+        for penalties in ((0.1, 0.2, 0.3), (0.3, 0.2, 0.1)):
+            log = FaultLog()
+            for penalty in penalties:
+                log.record(FaultEvent(kind="stall", action="injected", penalty_ms=penalty))
+            totals |= {log.overhead_ms, log.summary()["overhead_ms"]}
+        assert totals == {0.6}
+
 
 class TestTransientRetry:
     def test_retry_then_succeed_is_bit_identical(self):

@@ -2,30 +2,41 @@
 
 Covers the sharded tuning cache (stable mapping, counters, replay),
 per-tenant admission (quota order, typed errors, starvation
-prevention via pending caps), the resizable worker fleet, the
-metrics-driven autoscaler, and the serving-tier additions to the
-service primitives (breaker probes, queue-wait histogram, histogram
-quantiles).
+prevention via pending caps), the resizable worker fleet and its
+most-recently-idle handoff, the relay that resolves the asyncio
+frontend's futures, the metrics-driven autoscaler, and the
+serving-tier additions to the service primitives (breaker probes,
+queue-wait histogram, histogram quantiles).
 """
 
+import asyncio
+import gc
+import logging
+import sys
 import threading
 import time
+import weakref
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
+from repro.core import MultiStageSolver
 from repro.core.config import SwitchPoints
 from repro.obs import MetricsRegistry
 from repro.serve import (
     PRIORITIES,
     AdmissionController,
+    AsyncSolveService,
     Autoscaler,
     AutoscalerPolicy,
     ScalableWorkerFleet,
     ShardedTuningCache,
     TenantQuota,
 )
+from repro.serve.frontend import _LoopRelay
 from repro.service.queue import BoundedRequestQueue, CircuitBreaker
+from repro.systems import generators
 from repro.util.errors import (
     ConfigurationError,
     PriorityShedError,
@@ -305,6 +316,218 @@ class TestFleet:
                 fleet.submit(boom).result(timeout=5)
         finally:
             fleet.shutdown()
+
+    def test_an_idle_worker_drops_its_finished_task(self):
+        fleet = ScalableWorkerFleet(2)
+        try:
+            payload = _Payload()
+            alive = weakref.ref(payload)
+            future = fleet.submit(lambda p: None, payload)
+            del payload
+            assert future.result(timeout=5) is None
+            assert alive() is None
+        finally:
+            fleet.shutdown()
+
+    def test_sequential_tasks_run_on_one_thread(self):
+        fleet = ScalableWorkerFleet(2)
+        try:
+            idents = {
+                fleet.submit(threading.get_ident).result(timeout=5)
+                for _ in range(50)
+            }
+            assert len(idents) == 1
+        finally:
+            fleet.shutdown()
+
+    def test_a_shrink_keeps_the_warm_worker(self):
+        fleet = ScalableWorkerFleet(2)
+        try:
+            # Both workers run at once, so both have started and gone idle.
+            barrier = threading.Barrier(2)
+
+            def meet():
+                barrier.wait(5)
+                return threading.get_ident()
+
+            both = {f.result(timeout=5) for f in [fleet.submit(meet), fleet.submit(meet)]}
+            assert len(both) == 2
+            warm = fleet.submit(threading.get_ident).result(timeout=5)
+            fleet.resize(1)
+            for _ in range(20):
+                assert fleet.submit(threading.get_ident).result(timeout=5) == warm
+            for cold in [t for t in threading.enumerate() if t.ident in both - {warm}]:
+                cold.join(timeout=5)
+                assert not cold.is_alive()
+        finally:
+            fleet.shutdown()
+
+
+    def test_concurrent_submits_and_resizes_lose_no_task(self):
+        fleet = ScalableWorkerFleet(3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            futures = [[] for _ in range(4)]
+
+            def submitter(out):
+                for i in range(200):
+                    out.append(fleet.submit(lambda v=i: v))
+
+            def resizer():
+                for width in (6, 1, 4, 2, 5, 3) * 5:
+                    fleet.resize(width)
+
+            threads = [threading.Thread(target=submitter, args=(out,)) for out in futures]
+            threads.append(threading.Thread(target=resizer))
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+            for out in futures:
+                assert [f.result(timeout=30) for f in out] == list(range(200))
+        finally:
+            sys.setswitchinterval(interval)
+            fleet.shutdown()
+        assert fleet.size == 0
+
+
+class _Payload:
+    """A task argument a weak reference can watch."""
+
+
+# ---------------------------------------------------------------------------
+# The asyncio frontend's relay
+# ---------------------------------------------------------------------------
+
+
+def _four_groups():
+    """Eight requests, two per system size, so four merged groups."""
+    return [
+        generators.random_dominant(2, n, rng=i)
+        for i, n in enumerate((64, 128, 256, 512) * 2)
+    ]
+
+
+def _standalone(batch):
+    return MultiStageSolver("gtx470", SWITCH).solve(batch).x
+
+
+class TestLoopRelay:
+    def test_a_flush_wakes_the_loop_once(self):
+        batches = _four_groups()
+        loop = asyncio.new_event_loop()
+        wakeups = []
+        call_soon_threadsafe = loop.call_soon_threadsafe
+
+        def counted(*args, **kwargs):
+            wakeups.append(args[0])
+            return call_soon_threadsafe(*args, **kwargs)
+
+        loop.call_soon_threadsafe = counted
+        service = AsyncSolveService("gtx470", SWITCH, workers=2)
+
+        async def wave():
+            futures = [await service.submit(batch) for batch in batches]
+            # The loop stays idle while the flush runs to completion.
+            assert service.flush() == 4
+            service.drain()
+            return await asyncio.gather(*futures)
+
+        try:
+            results = loop.run_until_complete(wave())
+        finally:
+            service.close()
+            loop.close()
+        assert len(wakeups) == 1
+        for batch, result in zip(batches, results):
+            assert np.array_equal(result.x, _standalone(batch))
+
+    @pytest.mark.parametrize("reaches_request", [True, False])
+    def test_cancelling_one_request_is_quiet(self, caplog, reaches_request):
+        batches = [generators.random_dominant(2, 256, rng=i) for i in range(4)]
+        service = AsyncSolveService("gtx470", SWITCH, workers=2)
+
+        async def wave():
+            futures = [await service.submit(batch) for batch in batches]
+            futures[1].cancel()
+            if reaches_request:
+                await asyncio.sleep(0)  # the cancellation reaches the request
+            service.flush()
+            mates = [f for i, f in enumerate(futures) if i != 1]
+            return await asyncio.wait_for(asyncio.gather(*mates), timeout=10)
+
+        caplog.set_level(logging.WARNING)
+        try:
+            results = asyncio.run(wave())
+            service.drain()
+        finally:
+            service.close()
+        for batch, result in zip(batches[:1] + batches[2:], results):
+            assert np.array_equal(result.x, _standalone(batch))
+        assert not caplog.records
+
+    def test_posts_from_many_threads_all_arrive(self):
+        relay = _LoopRelay()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+
+        async def wave():
+            loop = asyncio.get_running_loop()
+            requests = [Future() for _ in range(400)]
+            awaited = [relay.wrap(r, loop) for r in requests]
+
+            def settle(share):
+                for i in share:
+                    requests[i].set_result(i)
+
+            threads = [
+                threading.Thread(target=settle, args=(range(k, 400, 4),)) for k in range(4)
+            ]
+            for t in threads:
+                t.start()
+            results = await asyncio.wait_for(asyncio.gather(*awaited), timeout=30)
+            for t in threads:
+                t.join(timeout=5)
+                assert not t.is_alive()
+            return results
+
+        try:
+            assert asyncio.run(wave()) == list(range(400))
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("drain_pending", [True, False])
+    def test_a_closed_loop_gets_nothing_and_is_not_kept_alive(self, caplog, drain_pending):
+        batches = _four_groups()[:2]
+        service = AsyncSolveService("gtx470", SWITCH, workers=1)
+        loop = asyncio.new_event_loop()
+
+        async def submit_all():
+            return [await service.submit(batch) for batch in batches]
+
+        caplog.set_level(logging.WARNING)
+        try:
+            futures = loop.run_until_complete(submit_all())
+            if drain_pending:
+                # Both answers wait in one scheduled drain when the loop closes.
+                service.flush()
+                service.drain()
+                loop.close()
+            else:
+                # The answers arrive after the loop closed.
+                loop.close()
+                service.flush()
+                service.drain()
+            assert not any(f.done() for f in futures)
+            closed = weakref.ref(loop)
+            del futures, loop
+            gc.collect()
+            assert closed() is None
+        finally:
+            service.close()
+        assert not caplog.records
 
 
 # ---------------------------------------------------------------------------

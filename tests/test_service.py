@@ -251,7 +251,7 @@ class TestBatchSolveService:
         # Without drain(): once the fleet has retired no group is in
         # flight, so no future may be held.
         svc.close()
-        assert not svc._group_futures
+        assert not svc._flush_futures
 
         def boom(group):
             raise RuntimeError("injected group failure")
@@ -263,6 +263,59 @@ class TestBatchSolveService:
         with pytest.raises(RuntimeError, match="injected group failure"):
             svc.drain()
         svc.drain()  # reported once
+
+    def _four_group_service(self, monkeypatch):
+        """A 4-worker service, its eight requests in four groups, and the
+        (thread, system size) of every group run, in run order."""
+        svc = BatchSolveService(DEVICE, SWITCH, max_workers=4)
+        batches = [
+            generators.random_dominant(4, n, rng=i)
+            for i, n in enumerate((512, 64, 256, 128) * 2)
+        ]
+        runs = []
+        run_group = svc._run_group
+
+        def recorded(group):
+            runs.append((threading.get_ident(), group.key.system_size))
+            run_group(group)
+
+        monkeypatch.setattr(svc, "_run_group", recorded)
+        return svc, batches, runs
+
+    def test_a_flush_runs_its_groups_in_order_on_one_thread(self, monkeypatch):
+        svc, batches, runs = self._four_group_service(monkeypatch)
+        with svc:
+            futures = [svc.submit(batch) for batch in batches]
+            assert svc.flush() == 4
+            for batch, fut in zip(batches, futures):
+                ref = MultiStageSolver(DEVICE, SWITCH).solve(batch).x
+                assert np.array_equal(fut.result(timeout=30).x, ref)
+            svc.drain()
+        assert [size for _, size in runs] == [512, 64, 256, 128]
+        assert len({thread for thread, _ in runs}) == 1
+        assert runs[0][0] != threading.get_ident()
+
+    def test_a_failing_group_does_not_stop_its_flush(self, monkeypatch):
+        svc, batches, runs = self._four_group_service(monkeypatch)
+        run_group = svc._run_group
+
+        def second_fails(group):
+            if group.key.system_size == 64:
+                raise RuntimeError("injected group failure")
+            run_group(group)
+
+        monkeypatch.setattr(svc, "_run_group", second_fails)
+        with svc:
+            futures = [svc.submit(batch) for batch in batches]
+            svc.flush()
+            for batch, fut in zip(batches, futures):
+                if batch.system_size == 64:
+                    continue
+                ref = MultiStageSolver(DEVICE, SWITCH).solve(batch).x
+                assert np.array_equal(fut.result(timeout=30).x, ref)
+            with pytest.raises(RuntimeError, match="injected group failure"):
+                svc.drain()
+        assert [size for _, size in runs] == [512, 256, 128]
 
     def test_singular_rejected_typed_at_submit(self):
         from repro.util.errors import InvalidSystemError
