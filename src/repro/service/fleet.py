@@ -16,9 +16,10 @@ A task goes to the worker that went idle *last*: idle workers wait on
 their own inboxes, kept as a stack, and work arriving while every
 worker is busy waits in a FIFO backlog that the next worker to finish
 takes from. So back-to-back tasks stay on one warm thread, with its
-caches and its allocator arena, instead of alternating threads. A
-shrink retires the worker that has been idle *longest*, or the next
-one to finish while all are busy. A worker joins the idle stack before
+caches and its allocator arena, instead of alternating threads. A new
+worker joins the idle stack at the bottom, as the coldest. A shrink
+retires the worker that has been idle *longest*, or the next one to
+finish while all are busy. A worker joins the idle stack before
 it resolves its task's future, and drops the task's arguments before
 it waits, so an idle worker pins nothing.
 
@@ -129,23 +130,27 @@ class ScalableWorkerFleet:
         else:
             self._backlog.append(_POISON)
 
-    def _next_task(self, inbox: "queue.SimpleQueue"):
-        """The oldest backlog item, or None after joining the idle stack."""
+    def _next_task(self, inbox: "queue.SimpleQueue", cold: bool = False):
+        """The oldest backlog item, or None after joining the idle stack:
+        on top, or at the bottom for a ``cold`` worker that never ran."""
         with self._lock:
             if self._backlog:
                 return self._backlog.popleft()
-            self._idle.append(inbox)
+            if cold:
+                self._idle.appendleft(inbox)
+            else:
+                self._idle.append(inbox)
             return None
 
     def _run(self, inbox: "queue.SimpleQueue") -> None:
-        task = self._next_task(inbox)
+        task = self._next_task(inbox, cold=True)
         while True:
             if task is None:
                 task = inbox.get()
             if task is _POISON:
                 return
             future, fn, args, kwargs = task
-            task = result = error = None
+            result = error = None
             ran = future.set_running_or_notify_cancel()
             if ran:
                 try:
@@ -157,10 +162,11 @@ class ScalableWorkerFleet:
             # its next submit finds this worker on top of the stack.
             del fn, args, kwargs
             task = self._next_task(inbox)
-            if ran and error is None:
-                future.set_result(result)
-            elif ran:
-                future.set_exception(error)
+            if ran:
+                if error is None:
+                    future.set_result(result)
+                else:
+                    future.set_exception(error)
             del future, result, error
 
     def shutdown(self, wait: bool = True) -> None:

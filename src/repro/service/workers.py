@@ -18,9 +18,10 @@ requests; the service
    flush's groups run in group order on that one warm worker; a failing
    group fails only its own requests, and :meth:`~BatchSolveService.drain`
    re-raises what escaped it. Flushes run concurrently, one per worker.
-   Merged solves of a few thousand rows hold the interpreter lock for
-   most of their run, so two workers on one flush would only take turns
-   on it and pay each handoff.
+   Merged solves of small systems (a few dozen systems of at most a
+   few thousand rows) hold the interpreter lock for most of their run,
+   so two workers on one flush would only take turns on it and pay
+   each handoff.
 
 Merged solves amortise the per-launch overhead that dominates small
 workloads — the simulated analogue of the interleaved batch solvers of
