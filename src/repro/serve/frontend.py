@@ -25,8 +25,9 @@ the fleet and the loop only awaits their futures.
 Answers reach the loop through one relay per loop. A worker finishing a
 request posts it to the relay; the first post of a burst schedules one
 drain with ``call_soon_threadsafe``, and every post that finds that
-drain still pending joins it. So a flush wakes the loop about once,
-not once per request as :func:`asyncio.wrap_future` would. Like
+drain still pending joins it. So answers that arrive while the loop
+is busy share one wakeup, where :func:`asyncio.wrap_future` wakes the
+loop once per request. Like
 ``wrap_future``, cancelling the awaited future cancels the request
 (the service then skips it), a drain skips cancelled futures, and
 posts to a closed loop are dropped. A pending drain is held only by
@@ -100,6 +101,7 @@ class _LoopRelay:
             pass  # the loop closed meanwhile; the burst dies with this frame
 
     def _drain(self, burst: _Burst) -> None:
+        """Runs on the loop: settles the burst's futures still awaited."""
         with self._lock:
             if self._open is not None and self._open() is burst:
                 self._open = None
