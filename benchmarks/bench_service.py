@@ -7,11 +7,12 @@ machine), while the baseline re-plans and launches once per request.
 The acceptance bar is >= 5x simulated throughput with bit-identical
 answers; typical runs land well above it.
 
-The second bench is the serving-tier shoot-out: the same seeded
-Poisson stream through the fixed thread-pool tier and the async tier
-(sharded cache locks, per-tenant admission, autoscaled fleet) via the
-deterministic serving simulation. The acceptance bar: the async tier
-holds p99 where the thread-pool tier saturates into a reject storm.
+The second bench is the serving-tier ablation: the same seeded
+Poisson stream through fixed fleets of 4, 6, 8 and 16 workers and
+through the autoscaled fleet, each behind per-tenant admission, via
+the deterministic serving simulation. Each row gives p50, p99, shed
+rate, peak and mean width and worker-ms, and the table sets the
+narrowest fixed fleet holding the autoscaler's p99 against it.
 Results land in ``benchmarks/results/serve_scaling.json``; the nightly
 CLI run writes its 100k-request counterpart to the uncommitted
 ``results/serve_scaling_100k.json``.
@@ -24,7 +25,8 @@ from _results import write_results
 
 from repro.analysis import ascii_table
 from repro.core import MultiStageSolver
-from repro.serve import ServingSimConfig, compare_tiers
+from repro.serve import ServingSimConfig, fleet_ablation
+from repro.serve.simulate import ablation_payload, render_ablation
 from repro.service import BatchSolveService
 from repro.systems import generators
 
@@ -96,64 +98,36 @@ def test_service_throughput_vs_oneshot(benchmark, emit):
     assert speedup >= 5.0, f"batched speedup only {speedup:.2f}x"
 
 
-def test_serve_tier_holds_p99_where_threadpool_saturates(
-    benchmark, emit, results_dir
-):
+def test_serve_fleet_ablation(benchmark, emit, results_dir):
     config = ServingSimConfig(
         requests=SERVE_REQUESTS, rate_per_s=SERVE_RATE, seed=SEED
     )
 
-    def shoot_out():
-        return compare_tiers(config)
+    def ablation():
+        return fleet_ablation(config)
 
-    tiers = benchmark.pedantic(shoot_out, rounds=1, iterations=1)
-    tp, ac = tiers["threadpool"], tiers["async"]
-
-    rows = [
-        ["p50 latency (sim ms)", round(tp.latency_p50_ms, 1),
-         round(ac.latency_p50_ms, 1)],
-        ["p99 latency (sim ms)", round(tp.latency_p99_ms, 1),
-         round(ac.latency_p99_ms, 1)],
-        ["served", tp.served, ac.served],
-        ["shed rate", f"{tp.shed_rate:.1%}", f"{ac.shed_rate:.1%}"],
-        ["peak workers", tp.max_workers, ac.max_workers],
-        ["merged solves", tp.groups, ac.groups],
-    ]
-    text = (
-        ascii_table(
-            ["metric", "thread-pool tier", "async tier"],
-            rows,
-            title=f"Serving-tier scaling ({SERVE_REQUESTS} simulated "
-            f"requests at {SERVE_RATE:g}/s, seed {SEED})",
-        )
-        + f"\np99 ratio (threadpool/async): "
-        f"{tp.latency_p99_ms / ac.latency_p99_ms:.1f}x"
+    reports = benchmark.pedantic(ablation, rounds=1, iterations=1)
+    text = render_ablation(
+        reports,
+        title=f"Serving fleet ablation ({SERVE_REQUESTS} simulated "
+        f"requests at {SERVE_RATE:g}/s, seed {SEED})",
     )
     emit("serve_scaling", text)
+    write_results("serve_scaling", ablation_payload(config, reports), results_dir)
 
-    payload = {
-        "config": {
-            "requests": config.requests,
-            "rate_per_s": config.rate_per_s,
-            "seed": config.seed,
-            "tenants": config.tenants,
-            "workers": config.workers,
-            "max_workers": config.max_workers,
-            "shards": config.shards,
-            "dispatch_ms": config.dispatch_ms,
-            "lookup_ms": config.lookup_ms,
-        },
-        "tiers": {tier: report.as_dict() for tier, report in tiers.items()},
-    }
-    write_results("serve_scaling", payload, results_dir)
-
-    # The acceptance criterion: the thread-pool tier saturates (reject
-    # storm at its queue bound) while the autoscaled async tier holds
-    # p99 and serves everything.
-    assert tp.shed["queue_full"] > 0
-    assert ac.served == config.requests
-    assert ac.latency_p99_ms * 10 < tp.latency_p99_ms
-    assert ac.max_workers > config.workers
+    # The acceptance criteria: every request is served or shed; the
+    # 4-wide pool saturates and sheds, while the 16-wide pool and the
+    # autoscaler serve everything; the autoscaler grew the fleet; and
+    # worker-ms is the width summed over ticks times the tick length.
+    for report in reports.values():
+        assert report.served + report.shed_total == config.requests
+        assert report.worker_ms == config.flush_every_ms * sum(
+            width for _, width in report.worker_trajectory
+        )
+    assert reports["fixed 4"].shed_total > 0
+    assert reports["fixed 16"].served == config.requests
+    assert reports["autoscale"].served == config.requests
+    assert reports["autoscale"].max_workers > config.workers
 
 
 @pytest.mark.fusion

@@ -207,8 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--async",
         action="store_true",
         dest="async_tier",
-        help="benchmark the async serving tier against the thread-pool "
-        "service under simulated load (admission + sharded caches)",
+        help="simulate the async serving tier under load: fixed fleets "
+        "of 4, 6, 8 and 16 workers against the autoscaler",
     )
     p_serve.add_argument(
         "--tenants",
@@ -218,28 +218,16 @@ def build_parser() -> argparse.ArgumentParser:
         "tenant0 sends half the traffic)",
     )
     p_serve.add_argument(
-        "--autoscale",
-        action="store_true",
-        help="let the async tier's autoscaler resize the fleet "
-        "(otherwise it keeps --max-workers workers)",
-    )
-    p_serve.add_argument(
         "--rate",
         type=float,
         default=12_000.0,
         help="simulated arrival rate in requests/s (default 12000)",
     )
     p_serve.add_argument(
-        "--shards",
-        type=int,
-        default=8,
-        help="cache-lock stripes in the async tier (default 8)",
-    )
-    p_serve.add_argument(
         "--json",
         default=None,
         dest="json_out",
-        help="also write the async-tier comparison as JSON to this path",
+        help="also write the async-tier ablation as JSON to this path",
     )
 
     p_dist = sub.add_parser(
@@ -689,16 +677,18 @@ def _cmd_serve_bench(args, out) -> int:
 
 
 def _cmd_serve_bench_async(args, out) -> int:
-    """The serving-tier shoot-out: thread-pool vs async under load.
+    """The serving-tier ablation: fixed fleets against the autoscaler.
 
-    Both tiers replay the same seeded Poisson stream through the
+    Every fleet replays the same seeded Poisson stream through the
     deterministic serving simulation (real admission/autoscaler policy
     objects on a simulated clock), so 100k requests take seconds and
-    the p50/p99/shed numbers are reproducible bit-for-bit.
+    the p50/p99/shed/worker-ms numbers are reproducible bit-for-bit.
+    ``--max-workers`` is the autoscaler's floor.
     """
     import json
 
-    from .serve import ServingSimConfig, compare_tiers
+    from .serve import ServingSimConfig, fleet_ablation
+    from .serve.simulate import ablation_payload, render_ablation
 
     config = ServingSimConfig(
         requests=args.requests,
@@ -707,62 +697,18 @@ def _cmd_serve_bench_async(args, out) -> int:
         tenants=args.tenants,
         device=args.device,
         workers=args.max_workers,
-        shards=args.shards,
-        autoscale=args.autoscale,
     )
-    reports = compare_tiers(config)
+    reports = fleet_ablation(config)
     out.write(
         f"workload  : {config.requests} simulated mixed requests at "
         f"{config.rate_per_s:g}/s, {config.tenants} tenants, "
         f"seed {config.seed}\n"
     )
-    for tier in ("threadpool", "async"):
-        report = reports[tier]
-        label = (
-            f"async x{report.max_workers}"
-            if tier == "async" and args.autoscale
-            else f"{tier} x{report.max_workers}"
-        )
-        out.write(
-            f"{tier:10s}: p50 {report.latency_p50_ms:.1f} ms, "
-            f"p99 {report.latency_p99_ms:.1f} ms, "
-            f"shed {report.shed_rate:.1%} "
-            f"({label}, {report.groups} merged solves)\n"
-        )
-        for reason, count in sorted(report.shed.items()):
-            out.write(f"            shed[{reason}] = {count}\n")
-        if report.autoscaler_actions:
-            actions = ", ".join(
-                f"{action}={count}"
-                for action, count in sorted(report.autoscaler_actions.items())
-            )
-            out.write(f"            autoscaler: {actions}\n")
-    tp, ac = reports["threadpool"], reports["async"]
-    if ac.latency_p99_ms > 0:
-        out.write(
-            f"p99 ratio : {tp.latency_p99_ms / ac.latency_p99_ms:.1f}x "
-            "(threadpool / async)\n"
-        )
+    out.write(render_ablation(reports) + "\n")
     if args.json_out:
-        payload = {
-            "config": {
-                "requests": config.requests,
-                "rate_per_s": config.rate_per_s,
-                "seed": config.seed,
-                "tenants": config.tenants,
-                "device": config.device,
-                "workers": config.workers,
-                "max_workers": config.max_workers,
-                "shards": config.shards,
-                "autoscale": config.autoscale,
-                "dispatch_ms": config.dispatch_ms,
-                "lookup_ms": config.lookup_ms,
-            },
-            "tiers": {t: r.as_dict() for t, r in reports.items()},
-        }
         os.makedirs(os.path.dirname(args.json_out) or ".", exist_ok=True)
         with open(args.json_out, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+            json.dump(ablation_payload(config, reports), fh, indent=2, sort_keys=True)
             fh.write("\n")
         out.write(f"wrote {args.json_out}\n")
     return 0

@@ -52,9 +52,10 @@ class TuningCache:
         ``repro_tuning_cache_lookups_total{result=hit|miss}``. Lookups
         counted before attachment are replayed.
 
-        Extra ``labels`` are attached to every sample — the sharded
-        serving cache uses this to key each shard's series
-        (``shard="3"``) on the one shared counter.
+        Extra ``labels`` are attached to every sample — a
+        :class:`~repro.serve.shards.ShardedTuningCache`, when passed as
+        ``cache=``, uses this to key each shard's series (``shard="3"``)
+        on the one shared counter.
         """
         counter = registry.counter(
             "repro_tuning_cache_lookups_total",
@@ -240,7 +241,7 @@ class TuningCache:
 
 def resolve_cache(cache) -> TuningCache:
     """A front end's ``cache=`` as the cache it uses: any object with
-    ``get_or_tune`` (a :class:`TuningCache`, the serving tier's sharded
-    cache) as given, anything else as the path of a :class:`TuningCache`
+    ``get_or_tune`` (a :class:`TuningCache`, the opt-in sharded cache)
+    as given, anything else as the path of a :class:`TuningCache`
     (memory-only for ``None``)."""
     return cache if hasattr(cache, "get_or_tune") else TuningCache(cache)

@@ -51,7 +51,6 @@ __all__ = [
     "ChunkSplit",
     "batch_shares",
     "partition_bounds",
-    "pipeline_interface_values",
     "reconstruct_chunk",
     "solve_reduced_system",
     "spike_rhs",
@@ -70,20 +69,6 @@ __all__ = [
 PIPELINE_CARRY_VALUES = 4.0
 PIPELINE_BACK_VALUES = 2.0
 PIPELINE_TIP_VALUES = 1.0
-
-
-def pipeline_interface_values(num_devices: int) -> float:
-    """Total values per system crossing each chunk interface in
-    pipelined mode: forward carry + backward carry + tip hop.
-
-    7 per interface over point-to-point neighbour links, versus rows
-    mode's 6-up + 2-down per *device* funnelled through device 0's
-    single ingress/egress lane pair. The win is not the count — it is
-    that no lane ever carries more than one interface's traffic.
-    """
-    if num_devices < 2:
-        return 0.0
-    return PIPELINE_CARRY_VALUES + PIPELINE_BACK_VALUES + PIPELINE_TIP_VALUES
 
 
 def batch_shares(num_systems: int, num_devices: int) -> Tuple[int, ...]:

@@ -22,10 +22,10 @@ Two phases:
   mid-run; every workload must still solve exactly on the survivors,
   with the recovery overhead priced into the reports.
 - **serve phase** — the same request mix through the async serving
-  tier (:class:`~repro.serve.AsyncSolveService`): sharded caches, a
-  deliberately tight :class:`~repro.serve.AdmissionController` (so
-  tenant quotas and priority watermarks actually shed), the autoscaler
-  resizing the fleet mid-chaos — all under the same transient faults
+  tier (:class:`~repro.serve.AsyncSolveService`): a deliberately
+  tight :class:`~repro.serve.AdmissionController` (so tenant quotas
+  and priority watermarks actually shed), the autoscaler resizing the
+  fleet mid-chaos — all under the same transient faults
   and stalls. Admission sheds must be *typed*
   (:class:`~repro.util.errors.TenantQuotaExceededError` /
   :class:`~repro.util.errors.PriorityShedError`); the guarantee reads
@@ -348,7 +348,6 @@ def _run_serve_phase(
     service = AsyncSolveService(
         verify=True,
         workers=2,
-        num_shards=4,
         admission=admission,
         autoscale=True,
         faults=injector,

@@ -6,16 +6,17 @@ front door built for many concurrent callers:
 
 - :class:`AsyncSolveService` — asyncio-native submission with a sync
   facade on the *same* code path (bit-identical results either way);
-- :class:`ShardedTuningCache` — the tuning cache striped over
-  independently-locked shards, with per-shard hit/miss/contention
-  counters;
+- :class:`ShardedTuningCache` — an opt-in ``cache=`` striped over
+  independently-locked shards (the default is one memory-only
+  :class:`~repro.core.TuningCache`, as in every front end);
 - :class:`AdmissionController` — per-tenant quotas and priority
   classes, shedding with typed errors that say which quota tripped;
 - :class:`ScalableWorkerFleet` + :class:`Autoscaler` — a resizable
   worker fleet driven by the queue-depth gauge and latency histograms
   already in the metrics registry;
-- :func:`simulate_serving` / :func:`compare_tiers` — the deterministic
-  load simulation behind ``repro serve-bench``.
+- :func:`simulate_serving` / :func:`fleet_ablation` — the deterministic
+  load simulation behind ``repro serve-bench --async``: fixed fleets
+  against the autoscaler.
 """
 
 from .admission import (
@@ -29,9 +30,10 @@ from ..service.fleet import ScalableWorkerFleet
 from .frontend import AsyncSolveService
 from .shards import ShardedTuningCache
 from .simulate import (
+    FIXED_WIDTHS,
     ServingSimConfig,
     ServingSimReport,
-    compare_tiers,
+    fleet_ablation,
     simulate_serving,
 )
 
@@ -46,8 +48,9 @@ __all__ = [
     "ScalableWorkerFleet",
     "AsyncSolveService",
     "ShardedTuningCache",
+    "FIXED_WIDTHS",
     "ServingSimConfig",
     "ServingSimReport",
-    "compare_tiers",
+    "fleet_ablation",
     "simulate_serving",
 ]

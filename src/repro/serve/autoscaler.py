@@ -15,8 +15,9 @@ Policy (deliberately boring — reviewable over clever):
   the fleet that would restore the ratio), or when the group-latency
   p99 read off the histogram breaches ``latency_slo_ms``;
 - **scale down** one worker at a time, only after ``idle_ticks_down``
-  consecutive ticks with the queue near-empty and latency inside SLO —
-  shrink slowly, grow fast;
+  consecutive calm ticks: queue depth per worker at most
+  ``target_queue_per_worker`` (the grow test's bound) and latency
+  inside SLO — shrink slowly, grow fast;
 - a ``cooldown_ticks`` refractory period after any change stops
   flapping.
 
@@ -159,10 +160,11 @@ class Autoscaler:
                 reason = "at_max" if workers >= policy.max_workers else "steady"
         else:
             self._calm_ticks += 1
+            # Calm means depth <= target_queue_per_worker * workers, the
+            # grow test's own bound.
             if (
                 self._calm_ticks >= policy.idle_ticks_down
                 and workers > policy.min_workers
-                and depth <= workers  # genuinely drained, not just lucky
             ):
                 target = workers - 1
                 action = "down"

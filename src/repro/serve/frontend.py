@@ -7,8 +7,8 @@
   plan-signature grouping, merged solves, bisection, deadlines, the
   circuit breaker — executed on the service's resizable
   :class:`~repro.service.fleet.ScalableWorkerFleet`;
-- a sharded :class:`~repro.serve.shards.ShardedTuningCache` in place of
-  the single-lock cache;
+- the tuning cache, read from ``cache=`` as every front end reads it
+  (memory-only :class:`~repro.core.TuningCache` by default);
 - an optional :class:`~repro.serve.admission.AdmissionController`
   (tenant quotas, priority classes) checked before anything is queued;
 - an optional :class:`~repro.serve.autoscaler.Autoscaler`, ticked on
@@ -50,7 +50,6 @@ from ..service.workers import BatchSolveService, ServiceResult
 from ..systems.tridiagonal import TridiagonalBatch
 from .admission import AdmissionController
 from .autoscaler import Autoscaler, AutoscalerPolicy
-from .shards import ShardedTuningCache
 
 __all__ = ["AsyncSolveService"]
 
@@ -119,7 +118,7 @@ class _LoopRelay:
 
 
 class AsyncSolveService:
-    """Asyncio frontend + admission + sharded caches + autoscaling.
+    """Asyncio frontend + admission + autoscaling.
 
     Parameters mirror :class:`~repro.service.BatchSolveService` where
     they overlap; the serving-tier additions:
@@ -132,12 +131,9 @@ class AsyncSolveService:
         :class:`Autoscaler` over the fleet, ticked at every flush.
     cache:
         Any tuning cache, or the path of a persistent
-        :class:`~repro.core.TuningCache`; a
-        :class:`ShardedTuningCache` of ``num_shards`` stripes when
-        omitted. :attr:`cache` is the cache the service uses.
-    num_shards:
-        Stripe count of the default sharded cache (ignored when a
-        ``cache`` is passed).
+        :class:`~repro.core.TuningCache`; a memory-only
+        ``TuningCache`` when omitted. :attr:`cache` is the cache the
+        service uses.
     workers:
         Initial fleet width (the autoscaler moves it afterwards).
     """
@@ -148,7 +144,6 @@ class AsyncSolveService:
         tuning: Union[str, object, None] = "static",
         *,
         cache=None,
-        num_shards: int = 8,
         workers: int = 4,
         admission: Optional[AdmissionController] = None,
         autoscale: Union[bool, AutoscalerPolicy] = False,
@@ -167,9 +162,7 @@ class AsyncSolveService:
         from ..obs import MetricsRegistry
 
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.cache = (
-            ShardedTuningCache(num_shards) if cache is None else resolve_cache(cache)
-        )
+        self.cache = resolve_cache(cache)
         self.admission = admission
         if admission is not None:
             admission.attach_metrics(self.metrics)

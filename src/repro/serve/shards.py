@@ -1,22 +1,24 @@
-"""Lock-striped tuning/plan cache for the serving tier.
+"""Lock-striped tuning cache, an opt-in ``cache=`` for any front end.
 
-One :class:`~repro.core.tuning.TuningCache` guards its store with one
-lock; at serving request rates every worker thread funnels through it
-and the lock becomes the bottleneck the ROADMAP names. The fix is the
-classic one: **lock striping**. :class:`ShardedTuningCache` splits the
-key space over ``num_shards`` independent :class:`TuningCache` shards —
-each with its own lock, store, and hit/miss counters — by hashing the
-exact same stable key string :meth:`TuningCache.key` produces, so two
-lookups contend only when they hash to the same shard.
+:class:`ShardedTuningCache` splits the key space over ``num_shards``
+independent :class:`TuningCache` shards — each with its own lock,
+store, and hit/miss counters — by hashing the exact same stable key
+string :meth:`TuningCache.key` produces, so two lookups contend only
+when they hash to the same shard. A best-effort probe counts how often
+a lookup found its shard's lock already held.
+
+No front end builds one by default. A service memoises its switch
+points per (device, dtype), so it reads its cache about once per
+(device, dtype) for its whole life and one lock never contends: the
+chaos campaigns' serve phase reads 2 misses, 0 hits and 0 contended
+lookups. The class stays because ``perfbench``'s tracer patches its
+``get_or_tune``.
 
 The wrapper keeps the full ``TuningCache`` surface (``get``/``put``/
 ``get_or_tune``/``counters``/``attach_metrics``/``clear``), so it drops
-into :class:`~repro.service.BatchSolveService` as ``cache=`` unchanged,
-and `attach_metrics` replay semantics are preserved shard by shard
-(each shard replays its own pre-attachment counters, labelled with its
-shard index). A best-effort contention probe counts how often a lookup
-found its shard's lock already held — the observable that justifies the
-striping.
+into any front end as ``cache=`` unchanged, and ``attach_metrics``
+replay semantics are preserved shard by shard (each shard replays its
+own pre-attachment counters, labelled with its shard index).
 """
 
 from __future__ import annotations
@@ -38,12 +40,10 @@ class ShardedTuningCache:
     Parameters
     ----------
     num_shards:
-        Stripe count. Contention drops roughly linearly in it; 8 covers
-        a 16-worker fleet comfortably.
+        Stripe count. Contention drops roughly linearly in it.
     path:
         Optional base path for persistence; shard ``i`` persists to
-        ``<path>.shard<i>``. Memory-only when omitted (the serving
-        default).
+        ``<path>.shard<i>``. Memory-only when omitted.
     """
 
     def __init__(

@@ -1,4 +1,4 @@
-"""Deterministic serving-load simulation: thread-pool tier vs async tier.
+"""Deterministic serving-load simulation of the async tier's fleet.
 
 Solving 100k real (if small) linear systems just to measure *queueing*
 would drown the signal in host arithmetic, so the serve-bench scenario
@@ -13,33 +13,34 @@ simulated and what is real:
   priced per-group solve times (taken from the repo's own cost model
   via :func:`repro.core.simulate_plan` and fitted affine in merged
   batch height), and the grouping rule (plan-signature keyed).
-- **simulated**: Poisson arrivals, the clock, worker occupancy, and
-  cache-lock serialisation (each lookup holds its stripe's lock for
-  ``lookup_ms``; one stripe models today's single-lock
-  ``TuningCache``, N stripes model the sharded cache).
+- **simulated**: Poisson arrivals, the clock, and worker occupancy.
 
-Two tier models run over the *same* seeded arrival stream:
+The tuning cache is not modelled: a service reads it once per
+(device, dtype) for its whole life and memoises the answer.
 
-- ``threadpool`` — today's :class:`~repro.service.BatchSolveService`
-  shape: fixed workers, one cache lock, a single bounded queue that
-  sheds with untyped rejects when its backlog bound is hit.
-- ``async`` — the new tier: sharded cache locks, per-tenant admission
-  with priority classes, and the autoscaler resizing the fleet from
-  queue depth + latency p99.
+Every run goes through admission and the fleet; ``config.autoscale``
+picks a fixed width (``workers``) or the autoscaler (floor
+``workers``, ceiling ``max_workers``). :func:`fleet_ablation` runs
+the fixed widths of :data:`FIXED_WIDTHS` and one autoscaled fleet over
+the *same* seeded arrival stream, so the autoscaler is held to the
+best fixed pool.
 
 The report carries p50/p99/mean latency of served requests, shed
-counts by typed reason, the worker trajectory, and the autoscaler's
-decision log. Everything is a pure function of the seed.
+counts by typed reason, the fleet's peak and mean width, its
+worker-ms (width summed over ticks, times the tick length), and the
+autoscaler's decision counts. Everything is a pure function of the
+seed.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..analysis.report import ascii_table
 from ..core import simulate_plan
 from ..core.tuning import make_tuner
 from ..gpu.executor import make_device
@@ -50,14 +51,19 @@ from ..util.errors import (
 )
 from .admission import AdmissionController, TenantQuota
 from .autoscaler import Autoscaler, AutoscalerPolicy
-from .shards import ShardedTuningCache
 
 __all__ = [
+    "FIXED_WIDTHS",
     "ServingSimConfig",
     "ServingSimReport",
+    "ablation_payload",
+    "fleet_ablation",
+    "render_ablation",
     "simulate_serving",
-    "compare_tiers",
 ]
+
+#: Fixed fleet widths :func:`fleet_ablation` runs next to the autoscaler.
+FIXED_WIDTHS = (4, 6, 8, 16)
 
 #: Shape pools mirroring :func:`repro.systems.generators.mixed_requests`.
 SIZES = (64, 100, 128, 200, 256, 384, 512)
@@ -71,30 +77,26 @@ PRIORITY_CYCLE = ("interactive", "standard", "batch")
 
 @dataclass(frozen=True)
 class ServingSimConfig:
-    """One simulated serving scenario (both tiers read the same one)."""
+    """One simulated serving scenario."""
 
     requests: int = 100_000
     rate_per_s: float = 12_000.0  # Poisson arrival rate
     seed: int = 0
     tenants: int = 4
     device: str = "gtx470"
-    workers: int = 4  # thread-pool width; async tier's floor
-    max_workers: int = 32  # autoscaler ceiling (async tier)
+    workers: int = 4  # fixed width; the autoscaler's floor
+    max_workers: int = 32  # autoscaler ceiling
     flush_every_ms: float = 5.0  # batching window / autoscaler tick
-    lookup_ms: float = 0.05  # cache-lock hold per request
     dispatch_ms: float = 2.0  # host-side worker time per merged solve
-    shards: int = 8  # async tier's cache stripes
-    max_pending: int = 1024  # thread-pool tier's queue bound
-    capacity: int = 512  # admission capacity (async tier)
+    capacity: int = 512  # admission capacity
     latency_slo_ms: float = 200.0  # autoscaler p99 trigger
-    autoscale: bool = True  # async tier scales its fleet
+    autoscale: bool = True  # False keeps the fleet at ``workers``
 
 
 @dataclass
 class ServingSimReport:
-    """Audited outcome of one tier under one scenario."""
+    """Audited outcome of one fleet under one scenario."""
 
-    tier: str
     requests: int
     served: int
     shed: Dict[str, int] = field(default_factory=dict)
@@ -104,6 +106,8 @@ class ServingSimReport:
     makespan_ms: float = 0.0
     groups: int = 0
     max_workers: int = 0
+    mean_workers: float = 0.0
+    worker_ms: float = 0.0
     worker_trajectory: List[Tuple[float, int]] = field(default_factory=list)
     autoscaler_actions: Dict[str, int] = field(default_factory=dict)
 
@@ -117,7 +121,6 @@ class ServingSimReport:
 
     def as_dict(self) -> dict:
         return {
-            "tier": self.tier,
             "requests": self.requests,
             "served": self.served,
             "shed": dict(sorted(self.shed.items())),
@@ -128,6 +131,8 @@ class ServingSimReport:
             "makespan_ms": self.makespan_ms,
             "groups": self.groups,
             "max_workers": self.max_workers,
+            "mean_workers": self.mean_workers,
+            "worker_ms": self.worker_ms,
             "autoscaler_actions": dict(sorted(self.autoscaler_actions.items())),
         }
 
@@ -243,17 +248,13 @@ class _SimFleet:
 
 def simulate_serving(
     config: ServingSimConfig,
-    tier: str,
     *,
     arrivals: Optional[List[_Arrival]] = None,
     cost: Optional[_CostModel] = None,
 ) -> ServingSimReport:
-    """Run one tier model over the scenario's seeded arrival stream."""
-    if tier not in ("threadpool", "async"):
-        raise ValueError(f"tier must be 'threadpool' or 'async', got {tier!r}")
+    """Run the fleet over the scenario's seeded arrival stream."""
     if arrivals is None or cost is None:
         arrivals, cost = _draw_arrivals(config)
-    is_async = tier == "async"
 
     registry = MetricsRegistry()
     depth_gauge = registry.gauge(
@@ -265,9 +266,8 @@ def simulate_serving(
     )
     fleet = _SimFleet(config.workers)
     autoscaler = None
-    admission = None
     sim_now = {"ms": 0.0}
-    if is_async and config.autoscale:
+    if config.autoscale:
         autoscaler = Autoscaler(
             fleet,
             registry,
@@ -277,129 +277,95 @@ def simulate_serving(
                 latency_slo_ms=config.latency_slo_ms,
             ),
         )
-    if is_async:
-        admission = AdmissionController(
-            capacity=config.capacity,
-            default_quota=TenantQuota(
-                max_pending=config.capacity // 2, priority="standard"
-            ),
-            clock=lambda: sim_now["ms"] / 1e3,
-        )
-        admission.attach_metrics(registry)
+    admission = AdmissionController(
+        capacity=config.capacity,
+        default_quota=TenantQuota(
+            max_pending=config.capacity // 2, priority="standard"
+        ),
+        clock=lambda: sim_now["ms"] / 1e3,
+    )
+    admission.attach_metrics(registry)
 
-    lock_free = [0.0] * (config.shards if is_async else 1)
-    # Admitted requests waiting for a flush, as (lookup-done-at, request):
-    # a request only joins a group once its cache lookup has cleared its
-    # lock stripe, so a saturated lock shows up as latency.
-    pending: List[Tuple[float, _Arrival]] = []
-    group_queue: List[Tuple[Tuple, List[_Arrival]]] = []  # formed, undrained
-    release_heap: List[Tuple[float, int]] = []  # (finish_ms, release seq)
-    tickets_by_seq: Dict[int, object] = {}
-    req_ticket: Dict[int, object] = {}  # id(request) -> admission ticket
+    # Admitted requests and their tickets: waiting for this tick's
+    # flush, then formed into groups the workers have not drained yet.
+    pending: List[Tuple[_Arrival, object]] = []
+    group_queue: List[Tuple[Tuple, List[Tuple[_Arrival, object]]]] = []
+    release_heap: List[Tuple[float, int, object]] = []  # (finish, seq, ticket)
     latencies: List[float] = []
     shed: Dict[str, int] = {}
     groups = 0
     max_workers_seen = fleet.size
     trajectory: List[Tuple[float, int]] = []
 
-    def backlog() -> int:
-        return len(pending) + sum(len(members) for _, members in group_queue)
-
     i = 0
     now = 0.0
     total = len(arrivals)
-    while i < total or pending or group_queue:
+    while i < total or group_queue:
         now += config.flush_every_ms
         # -- arrivals in this window ----------------------------------------
         while i < total and arrivals[i].at_ms <= now:
             req = arrivals[i]
             i += 1
             sim_now["ms"] = req.at_ms
-            if admission is not None:
-                while release_heap and release_heap[0][0] <= req.at_ms:
-                    _, seq = heapq.heappop(release_heap)
-                    admission.release(tickets_by_seq.pop(seq))
-            ticket = None
-            if admission is not None:
-                try:
-                    ticket = admission.admit(req.tenant, req.priority)
-                except TenantQuotaExceededError as exc:
-                    key = f"tenant_{exc.quota}"
-                    shed[key] = shed.get(key, 0) + 1
-                    continue
-                except PriorityShedError as exc:
-                    key = f"priority_{exc.priority}"
-                    shed[key] = shed.get(key, 0) + 1
-                    continue
-            elif backlog() >= config.max_pending:
-                shed["queue_full"] = shed.get("queue_full", 0) + 1
+            while release_heap and release_heap[0][0] <= req.at_ms:
+                admission.release(heapq.heappop(release_heap)[2])
+            try:
+                ticket = admission.admit(req.tenant, req.priority)
+            except TenantQuotaExceededError as exc:
+                key = f"tenant_{exc.quota}"
+                shed[key] = shed.get(key, 0) + 1
                 continue
-            # Cache/plan lookup serialises through its lock stripe
-            # (one stripe = today's single-lock TuningCache).
-            stripe = (
-                ShardedTuningCache.shard_index(
-                    repr(req.signature), len(lock_free)
-                )
-                if is_async
-                else 0
-            )
-            start = max(req.at_ms, lock_free[stripe])
-            lock_free[stripe] = start + config.lookup_ms
-            pending.append((start + config.lookup_ms, req))
-            if ticket is not None:
-                # Released when the request's group finishes; the finish
-                # time is known only at dispatch (below).
-                req_ticket[id(req)] = ticket
+            except PriorityShedError as exc:
+                key = f"priority_{exc.priority}"
+                shed[key] = shed.get(key, 0) + 1
+                continue
+            pending.append((req, ticket))
         sim_now["ms"] = now
         # -- autoscale on the visible backlog, then flush -------------------
-        depth_gauge.set(backlog())
+        depth_gauge.set(
+            len(pending) + sum(len(members) for _, members in group_queue)
+        )
         if autoscaler is not None:
             autoscaler.tick(now)
             max_workers_seen = max(max_workers_seen, fleet.size)
         trajectory.append((now, fleet.size))
-        # Form groups from requests whose lookup has cleared its lock —
-        # plan-signature keyed, first-member order (the batcher's rule).
-        # Requests still waiting on a saturated lock stay pending.
-        if pending:
-            open_groups: Dict[Tuple, List[_Arrival]] = {}
-            still_waiting: List[Tuple[float, _Arrival]] = []
-            for ready_ms, req in pending:
-                if ready_ms <= now:
-                    open_groups.setdefault(req.signature, []).append(req)
-                else:
-                    still_waiting.append((ready_ms, req))
-            group_queue.extend(open_groups.items())
-            pending[:] = still_waiting
+        # Plan-signature keyed groups in first-member order (the
+        # batcher's rule).
+        open_groups: Dict[Tuple, List[Tuple[_Arrival, object]]] = {}
+        for req, ticket in pending:
+            open_groups.setdefault(req.signature, []).append((req, ticket))
+        group_queue.extend(open_groups.items())
+        pending.clear()
         # -- drain: workers pull groups while they can start this window ----
         while group_queue and fleet.next_free() < now + config.flush_every_ms:
             signature, members = group_queue.pop(0)
-            systems = sum(r.systems for r in members)
+            systems = sum(req.systems for req, _ in members)
             # Worker occupancy = host-side dispatch (plan lookup, merge,
             # slicing, launches) + the cost model's priced device time.
             duration = config.dispatch_ms + cost.group_ms(signature, systems)
             finish = fleet.assign(now, duration)
             latency_hist.observe(duration)
             groups += 1
-            for req in members:
+            for req, ticket in members:
                 latencies.append(finish - req.at_ms)
-                ticket = req_ticket.pop(id(req), None)
-                if ticket is not None:
-                    tickets_by_seq[ticket.seq] = ticket
-                    heapq.heappush(release_heap, (finish, ticket.seq))
+                # Released when the request's group finishes.
+                heapq.heappush(release_heap, (finish, ticket.seq, ticket))
 
     lat = np.asarray(latencies) if latencies else np.zeros(1)
-    report = ServingSimReport(
-        tier=tier,
+    width_ticks = sum(width for _, width in trajectory)
+    return ServingSimReport(
         requests=total,
         served=len(latencies),
         shed=shed,
         latency_p50_ms=float(np.percentile(lat, 50)),
         latency_p99_ms=float(np.percentile(lat, 99)),
         latency_mean_ms=float(lat.mean()),
-        makespan_ms=max((max(fleet.free_at) if fleet.free_at else now), now),
+        makespan_ms=max(max(fleet.free_at), now),
         groups=groups,
         max_workers=max_workers_seen,
-        worker_trajectory=trajectory[:: max(1, len(trajectory) // 200)],
+        mean_workers=width_ticks / len(trajectory),
+        worker_ms=config.flush_every_ms * width_ticks,
+        worker_trajectory=trajectory,
         autoscaler_actions=(
             {
                 action: sum(
@@ -411,17 +377,68 @@ def simulate_serving(
             else {}
         ),
     )
-    return report
 
 
-def compare_tiers(config: ServingSimConfig) -> Dict[str, ServingSimReport]:
-    """Both tiers over the identical seeded arrival stream."""
+def fleet_ablation(config: ServingSimConfig) -> Dict[str, ServingSimReport]:
+    """Fixed fleets of :data:`FIXED_WIDTHS` workers, then the autoscaler
+    from ``config.workers`` up to ``config.max_workers``, all over the
+    identical seeded arrival stream.
+
+    Keys are ``"fixed <width>"`` and ``"autoscale"``, in that order.
+    """
     arrivals, cost = _draw_arrivals(config)
+    runs = {
+        f"fixed {width}": replace(config, workers=width, autoscale=False)
+        for width in FIXED_WIDTHS
+    }
+    runs["autoscale"] = replace(config, autoscale=True)
     return {
-        "threadpool": simulate_serving(
-            config, "threadpool", arrivals=arrivals, cost=cost
-        ),
-        "async": simulate_serving(
-            config, "async", arrivals=arrivals, cost=cost
-        ),
+        label: simulate_serving(run, arrivals=arrivals, cost=cost)
+        for label, run in runs.items()
+    }
+
+
+def render_ablation(
+    reports: Dict[str, ServingSimReport], title: Optional[str] = None
+) -> str:
+    """The ablation as a table, then the narrowest fixed fleet that
+    holds the autoscaler's p99 and sheds nothing, set against it."""
+    table = ascii_table(
+        ["fleet", "p50 ms", "p99 ms", "shed", "peak workers",
+         "mean workers", "worker-ms"],
+        [
+            [label, r.latency_p50_ms, r.latency_p99_ms, f"{r.shed_rate:.1%}",
+             r.max_workers, r.mean_workers, r.worker_ms]
+            for label, r in reports.items()
+        ],
+        title=title,
+    )
+    auto = reports["autoscale"]
+    holding = [
+        (label, r)
+        for label, r in reports.items()
+        if label != "autoscale"
+        and not r.shed_total
+        and r.latency_p99_ms <= auto.latency_p99_ms
+    ]
+    if not holding:
+        return table + "\nno fixed fleet holds the autoscaler's p99"
+    label, best = holding[0]
+    return table + (
+        f"\n{label} holds the autoscaler's p99 "
+        f"({best.latency_p99_ms:.2f} vs {auto.latency_p99_ms:.2f} ms) in "
+        f"{best.worker_ms:,.0f} worker-ms against {auto.worker_ms:,.0f} "
+        f"({best.worker_ms / auto.worker_ms:.2f}x)"
+    )
+
+
+def ablation_payload(
+    config: ServingSimConfig, reports: Dict[str, ServingSimReport]
+) -> dict:
+    """JSON form of :func:`fleet_ablation`: the scenario, one row per fleet."""
+    scenario = asdict(config)
+    del scenario["autoscale"]  # each row sets its own
+    return {
+        "config": scenario,
+        "rows": {label: r.as_dict() for label, r in reports.items()},
     }

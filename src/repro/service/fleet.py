@@ -93,6 +93,8 @@ class ScalableWorkerFleet:
             self._target = workers
             if self._gauge is not None:
                 self._gauge.set(workers)
+            # Forget retired workers that have exited.
+            self._threads = [t for t in self._threads if t.is_alive()]
             for _ in range(max(0, delta)):
                 self._spawned += 1
                 thread = threading.Thread(

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import Future
+from concurrent.futures import Future, InvalidStateError
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -469,14 +469,24 @@ class BatchSolveService:
     def _run_groups(self, groups: List[SolveGroup]) -> None:
         """Worker body of a flush: its groups in order on this thread.
 
-        A group whose run raises leaves the later groups running; the
-        first such error is re-raised once every group has run.
+        A group whose run raises fails its requests still unsettled
+        with that error and leaves the later groups running; the first
+        such error is re-raised once every group has run.
         """
         failure: Optional[BaseException] = None
         for group in groups:
             try:
                 self._run_group(group)
             except BaseException as exc:  # re-raised below
+                failed = 0
+                for req in group.requests:
+                    try:
+                        req.future.set_exception(exc)
+                    except InvalidStateError:
+                        continue  # settled or cancelled already
+                    failed += 1
+                if failed:
+                    self.stats.record_failed(failed)
                 if failure is None:
                     failure = exc
         if failure is not None:

@@ -2,8 +2,10 @@
 
 import io
 
+import pytest
 
 from repro.cli import main
+from repro.serve import FIXED_WIDTHS
 
 
 def _run(argv):
@@ -158,6 +160,23 @@ class TestServeBench:
         )
         assert code == 0
         assert "merged solves" in text
+
+    def test_async_prints_one_row_per_fleet(self):
+        code, text = _run(["serve-bench", "--async", "--requests", "2000"])
+        assert code == 0
+        assert "worker-ms" in text
+        rows = [line for line in text.splitlines() if line.startswith("| fixed ")]
+        assert [row.split("|")[1].strip() for row in rows] == [
+            f"fixed {width}" for width in FIXED_WIDTHS
+        ]
+        (auto,) = [line for line in text.splitlines() if line.startswith("| autoscale ")]
+        for row in rows + [auto]:
+            assert row.split("|")[7].strip().replace(",", "").isdigit()
+
+    def test_async_rejects_the_retired_flags(self):
+        for retired in (["--shards", "8"], ["--autoscale"]):
+            with pytest.raises(SystemExit):
+                main(["serve-bench", "--async", "--requests", "10", *retired], out=io.StringIO())
 
 
 class TestFigures:

@@ -6,7 +6,8 @@ name, a tuner, explicit ``SwitchPoints``, or ``None`` for ``"default"``
 — and reject anything else with ``ConfigurationError`` when they are
 built, not at their first solve. The three that keep a tuning cache
 accept any cache (``None``, a path, a ``TuningCache``, a
-``ShardedTuningCache``) and expose the one they use as ``.cache``. A
+``ShardedTuningCache``), build a ``TuningCache`` for ``None`` or a
+path, and expose the one they use as ``.cache``. A
 governed solve of non-finite input fails with a typed error.
 """
 
@@ -152,7 +153,7 @@ def test_every_cache_form_is_the_cache_in_use(front, cache, tmp_path):
         if front == "async":
             assert built.cache is built.service.cache
         if given is None or isinstance(given, str):
-            assert isinstance(built.cache, (TuningCache, ShardedTuningCache))
+            assert type(built.cache) is TuningCache
         else:
             assert built.cache is given
         # The one tuning run of this front end landed in that cache.

@@ -1,7 +1,7 @@
 """Unit tests for the async serving tier's building blocks.
 
-Covers the sharded tuning cache (stable mapping, counters, replay),
-per-tenant admission (quota order, typed errors, starvation
+Covers the opt-in sharded tuning cache (stable mapping, counters,
+replay) and the tier's default cache, per-tenant admission (quota order, typed errors, starvation
 prevention via pending caps), the resizable worker fleet and its
 most-recently-idle handoff, the relay that resolves the asyncio
 frontend's futures, the metrics-driven autoscaler, and the
@@ -21,7 +21,7 @@ from concurrent.futures import Future
 import numpy as np
 import pytest
 
-from repro.core import MultiStageSolver
+from repro.core import MultiStageSolver, TuningCache
 from repro.core.config import SwitchPoints
 from repro.obs import MetricsRegistry
 from repro.serve import (
@@ -362,6 +362,23 @@ class TestFleet:
         finally:
             fleet.shutdown()
 
+    def test_retired_threads_are_forgotten(self):
+        fleet = ScalableWorkerFleet(1)
+        try:
+            for _ in range(20):
+                fleet.resize(4)
+                fleet.resize(1)
+            deadline = time.monotonic() + 10
+            while sum(t.is_alive() for t in fleet._threads) > 1:
+                assert time.monotonic() < deadline, "retired workers did not exit"
+                time.sleep(0.01)
+            fleet.resize(1)
+            assert len(fleet._threads) == 1
+            assert fleet._threads[0].is_alive()
+            assert fleet.submit(lambda: 7).result(timeout=5) == 7
+        finally:
+            fleet.shutdown()
+        assert not fleet._threads[0].is_alive()
 
     def test_concurrent_submits_and_resizes_lose_no_task(self):
         fleet = ScalableWorkerFleet(3)
@@ -529,6 +546,40 @@ class TestLoopRelay:
             service.close()
         assert not caplog.records
 
+    def test_an_error_escaping_a_group_reaches_its_awaited_futures(self, monkeypatch):
+        batches = [generators.random_dominant(2, n, rng=i) for i, n in enumerate((64, 128, 256))]
+        service = AsyncSolveService("gtx470", SWITCH, workers=2)
+        run_group = service.service._run_group
+
+        def middle_fails(group):
+            if group.key.system_size == 128:
+                raise RuntimeError("injected group failure")
+            run_group(group)
+
+        monkeypatch.setattr(service.service, "_run_group", middle_fails)
+
+        async def wave():
+            futures = [await service.submit(batch) for batch in batches]
+            assert service.flush() == 3
+            return await asyncio.wait_for(
+                asyncio.gather(*futures, return_exceptions=True), timeout=10
+            )
+
+        try:
+            first, middle, last = asyncio.run(wave())
+            with pytest.raises(RuntimeError, match="injected group failure"):
+                service.drain()
+        finally:
+            service.close()
+        assert isinstance(middle, RuntimeError)
+        assert np.array_equal(first.x, _standalone(batches[0]))
+        assert np.array_equal(last.x, _standalone(batches[2]))
+
+    def test_the_default_cache_is_one_tuning_cache(self):
+        with AsyncSolveService() as service:
+            assert type(service.cache) is TuningCache
+            assert service.service.cache is service.cache
+
 
 # ---------------------------------------------------------------------------
 # Autoscaler
@@ -586,6 +637,18 @@ class TestAutoscaler:
         )
         fleet._size = 4
         depth.set(0.0)
+        actions = [scaler.tick().action for _ in range(3)]
+        assert actions == ["hold", "hold", "down"]
+        assert fleet.size == 3
+
+    def test_scales_down_once_depth_per_worker_is_within_target(self):
+        _, depth, _, fleet, scaler = self._setup(
+            AutoscalerPolicy(
+                target_queue_per_worker=4.0, idle_ticks_down=3, cooldown_ticks=0
+            )
+        )
+        fleet._size = 4
+        depth.set(10.0)  # more queued than workers, under 4 per worker
         actions = [scaler.tick().action for _ in range(3)]
         assert actions == ["hold", "hold", "down"]
         assert fleet.size == 3

@@ -50,7 +50,7 @@ def request_batches(draw):
 
 
 def _service(**kwargs):
-    return AsyncSolveService(DEVICE, SWITCH, workers=2, num_shards=4, **kwargs)
+    return AsyncSolveService(DEVICE, SWITCH, workers=2, **kwargs)
 
 
 @settings(**COMMON)

@@ -317,6 +317,34 @@ class TestBatchSolveService:
                 svc.drain()
         assert [size for _, size in runs] == [512, 256, 128]
 
+    def test_an_escaped_error_fails_its_group_and_no_other(self, monkeypatch):
+        svc = BatchSolveService(DEVICE, SWITCH, max_workers=2)
+        batches = [
+            generators.random_dominant(2, n, rng=i)
+            for i, n in enumerate((64, 128, 256))
+        ]
+        run_group = svc._run_group
+
+        def middle_fails(group):
+            if group.key.system_size == 128:
+                raise RuntimeError("injected group failure")
+            run_group(group)
+
+        monkeypatch.setattr(svc, "_run_group", middle_fails)
+        with svc:
+            futures = [svc.submit(batch) for batch in batches]
+            assert svc.flush() == 3
+            with pytest.raises(RuntimeError, match="injected group failure"):
+                svc.drain()
+            assert [fut.done() for fut in futures] == [True, True, True]
+            with pytest.raises(RuntimeError, match="injected group failure"):
+                futures[1].result(timeout=0)
+            for batch, fut in zip(batches[::2], futures[::2]):
+                ref = MultiStageSolver(DEVICE, SWITCH).solve(batch).x
+                assert np.array_equal(fut.result(timeout=0).x, ref)
+        snap = svc.stats.snapshot()
+        assert (snap["requests_completed"], snap["requests_failed"]) == (2, 1)
+
     def test_singular_rejected_typed_at_submit(self):
         from repro.util.errors import InvalidSystemError
 
