@@ -6,16 +6,6 @@ multi-stage solves (amortising per-launch overhead and filling the
 machine), while the baseline re-plans and launches once per request.
 The acceptance bar is >= 5x simulated throughput with bit-identical
 answers; typical runs land well above it.
-
-The second bench is the serving-tier ablation: the same seeded
-Poisson stream through fixed fleets of 4, 6, 8 and 16 workers and
-through the autoscaled fleet, each behind per-tenant admission, via
-the deterministic serving simulation. Each row gives p50, p99, shed
-rate, peak and mean width and worker-ms, and the table sets the
-narrowest fixed fleet holding the autoscaler's p99 against it.
-Results land in ``benchmarks/results/serve_scaling.json``; the nightly
-CLI run writes its 100k-request counterpart to the uncommitted
-``results/serve_scaling_100k.json``.
 """
 
 import numpy as np
@@ -25,16 +15,11 @@ from _results import write_results
 
 from repro.analysis import ascii_table
 from repro.core import MultiStageSolver
-from repro.serve import ServingSimConfig, fleet_ablation
-from repro.serve.simulate import ablation_payload, render_ablation
 from repro.service import BatchSolveService
 from repro.systems import generators
 
 NUM_REQUESTS = 1000
 SEED = 2011  # the paper's year; any fixed seed works
-
-SERVE_REQUESTS = 20_000
-SERVE_RATE = 12_000.0
 
 # The fusion bench: split-heavy mixed traffic, where the interleaved
 # sweeps must beat even the merged-unfused path (on-chip-only shapes are
@@ -96,38 +81,6 @@ def test_service_throughput_vs_oneshot(benchmark, emit):
     assert snap["requests_failed"] == 0
     # The acceptance criterion: >= 5x simulated throughput.
     assert speedup >= 5.0, f"batched speedup only {speedup:.2f}x"
-
-
-def test_serve_fleet_ablation(benchmark, emit, results_dir):
-    config = ServingSimConfig(
-        requests=SERVE_REQUESTS, rate_per_s=SERVE_RATE, seed=SEED
-    )
-
-    def ablation():
-        return fleet_ablation(config)
-
-    reports = benchmark.pedantic(ablation, rounds=1, iterations=1)
-    text = render_ablation(
-        reports,
-        title=f"Serving fleet ablation ({SERVE_REQUESTS} simulated "
-        f"requests at {SERVE_RATE:g}/s, seed {SEED})",
-    )
-    emit("serve_scaling", text)
-    write_results("serve_scaling", ablation_payload(config, reports), results_dir)
-
-    # The acceptance criteria: every request is served or shed; the
-    # 4-wide pool saturates and sheds, while the 16-wide pool and the
-    # autoscaler serve everything; the autoscaler grew the fleet; and
-    # worker-ms is the width summed over ticks times the tick length.
-    for report in reports.values():
-        assert report.served + report.shed_total == config.requests
-        assert report.worker_ms == config.flush_every_ms * sum(
-            width for _, width in report.worker_trajectory
-        )
-    assert reports["fixed 4"].shed_total > 0
-    assert reports["fixed 16"].served == config.requests
-    assert reports["autoscale"].served == config.requests
-    assert reports["autoscale"].max_workers > config.workers
 
 
 @pytest.mark.fusion

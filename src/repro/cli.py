@@ -203,32 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
         dest="max_group_systems",
         help="cap on merged-batch height (default unlimited)",
     )
-    p_serve.add_argument(
-        "--async",
-        action="store_true",
-        dest="async_tier",
-        help="simulate the async serving tier under load: fixed fleets "
-        "of 4, 6, 8 and 16 workers against the autoscaler",
-    )
-    p_serve.add_argument(
-        "--tenants",
-        type=int,
-        default=4,
-        help="tenant count for the simulated request mix (default 4; "
-        "tenant0 sends half the traffic)",
-    )
-    p_serve.add_argument(
-        "--rate",
-        type=float,
-        default=12_000.0,
-        help="simulated arrival rate in requests/s (default 12000)",
-    )
-    p_serve.add_argument(
-        "--json",
-        default=None,
-        dest="json_out",
-        help="also write the async-tier ablation as JSON to this path",
-    )
 
     p_dist = sub.add_parser(
         "dist-bench",
@@ -611,9 +585,6 @@ def _cmd_serve_bench(args, out) -> int:
     from .service import BatchSolveService
     from .systems import generators
 
-    if args.async_tier:
-        return _cmd_serve_bench_async(args, out)
-
     requests = generators.mixed_requests(args.requests, rng=args.seed)
     service = BatchSolveService(
         args.device,
@@ -673,44 +644,6 @@ def _cmd_serve_bench(args, out) -> int:
         # lines tell the story.
         if not line.startswith("#") and "_bucket" not in line:
             out.write(f"  {line}\n")
-    return 0
-
-
-def _cmd_serve_bench_async(args, out) -> int:
-    """The serving-tier ablation: fixed fleets against the autoscaler.
-
-    Every fleet replays the same seeded Poisson stream through the
-    deterministic serving simulation (real admission/autoscaler policy
-    objects on a simulated clock), so 100k requests take seconds and
-    the p50/p99/shed/worker-ms numbers are reproducible bit-for-bit.
-    ``--max-workers`` is the autoscaler's floor.
-    """
-    import json
-
-    from .serve import ServingSimConfig, fleet_ablation
-    from .serve.simulate import ablation_payload, render_ablation
-
-    config = ServingSimConfig(
-        requests=args.requests,
-        rate_per_s=args.rate,
-        seed=args.seed,
-        tenants=args.tenants,
-        device=args.device,
-        workers=args.max_workers,
-    )
-    reports = fleet_ablation(config)
-    out.write(
-        f"workload  : {config.requests} simulated mixed requests at "
-        f"{config.rate_per_s:g}/s, {config.tenants} tenants, "
-        f"seed {config.seed}\n"
-    )
-    out.write(render_ablation(reports) + "\n")
-    if args.json_out:
-        os.makedirs(os.path.dirname(args.json_out) or ".", exist_ok=True)
-        with open(args.json_out, "w") as fh:
-            json.dump(ablation_payload(config, reports), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        out.write(f"wrote {args.json_out}\n")
     return 0
 
 

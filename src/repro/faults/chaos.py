@@ -22,11 +22,10 @@ Two phases:
   mid-run; every workload must still solve exactly on the survivors,
   with the recovery overhead priced into the reports.
 - **serve phase** — the same request mix through the async serving
-  tier (:class:`~repro.serve.AsyncSolveService`): a deliberately
-  tight :class:`~repro.serve.AdmissionController` (so tenant quotas
-  and priority watermarks actually shed), the autoscaler resizing the
-  fleet mid-chaos — all under the same transient faults
-  and stalls. Admission sheds must be *typed*
+  tier (:class:`~repro.serve.AsyncSolveService`, two workers) behind
+  a deliberately tight :class:`~repro.serve.AdmissionController` (so
+  tenant quotas and priority watermarks actually shed), under the
+  same transient faults and stalls. Admission sheds must be *typed*
   (:class:`~repro.util.errors.TenantQuotaExceededError` /
   :class:`~repro.util.errors.PriorityShedError`); the guarantee reads
   identically: verified solution or typed error, never silently wrong.
@@ -189,8 +188,7 @@ class ChaosReport:
                 f"  serve   : {sv['requests']} requests -> "
                 f"{sv['solved']} solved, {sv['typed_errors']} typed, "
                 f"{sv['deadline_expired']} expired, {sv['shed']} shed "
-                f"({sheds or 'none'}), fleet peaked at "
-                f"{sv['max_workers']} workers"
+                f"({sheds or 'none'})"
             )
         if self.numerics:
             nm = self.numerics
@@ -214,6 +212,44 @@ def _service_requests(seed: int, count: int) -> List:
             bad.num_systems, bad.system_size, dtype=bad.dtype
         )
     return requests
+
+
+def _audit(futures, typed_at_submit: int) -> dict:
+    """Sort settled ``(batch, future)`` pairs against the guarantee.
+
+    Every answer is re-checked against its own request's residual
+    tolerance (above it counts as silently wrong); every failure must
+    be a :class:`ReproError`, an expired deadline counted on its own.
+    ``typed_at_submit`` requests were already refused typed at submit.
+    """
+    solved = expired = untyped = silent = 0
+    typed = typed_at_submit
+    worst_ratio = 0.0
+    for batch, fut in futures:
+        exc = fut.exception()
+        if exc is None:
+            residual = max_residual(batch, fut.result().x)
+            ratio = residual / default_tolerance(batch)
+            worst_ratio = max(worst_ratio, ratio)
+            if ratio > 1.0:
+                silent += 1
+            else:
+                solved += 1
+        elif isinstance(exc, ReproError):
+            if type(exc).__name__ == "DeadlineExceededError":
+                expired += 1
+            else:
+                typed += 1
+        else:
+            untyped += 1
+    return {
+        "solved": solved,
+        "typed_errors": typed,
+        "deadline_expired": expired,
+        "untyped_errors": untyped,
+        "silent_wrong": silent,
+        "worst_residual_ratio": worst_ratio,
+    }
 
 
 def _run_service_phase(
@@ -262,37 +298,11 @@ def _run_service_phase(
         service.flush()
         service.drain()
 
-    solved = expired_n = untyped = silent = 0
-    typed = typed_at_submit
-    worst_ratio = 0.0
-    for batch, fut in futures:
-        exc = fut.exception()
-        if exc is None:
-            residual = max_residual(batch, fut.result().x)
-            ratio = residual / default_tolerance(batch)
-            worst_ratio = max(worst_ratio, ratio)
-            if ratio > 1.0:
-                silent += 1
-            else:
-                solved += 1
-        elif isinstance(exc, ReproError):
-            if type(exc).__name__ == "DeadlineExceededError":
-                expired_n += 1
-            else:
-                typed += 1
-        else:
-            untyped += 1
-    snap = service.stats.snapshot()
     return {
         "requests": count,
-        "solved": solved,
-        "typed_errors": typed,
-        "deadline_expired": expired_n,
         "shed": shed,
-        "untyped_errors": untyped,
-        "silent_wrong": silent,
-        "worst_residual_ratio": worst_ratio,
-        "bisections": snap["group_bisections"],
+        **_audit(futures, typed_at_submit),
+        "bisections": service.stats.snapshot()["group_bisections"],
     }
 
 
@@ -304,8 +314,7 @@ def _run_serve_phase(
     Quotas are deliberately tight — a "noisy" batch-class tenant with a
     small pending cap and rate limit sends a third of the traffic — so
     admission genuinely sheds, and the audit can insist every shed was
-    typed. The autoscaler runs too: fleet resizing mid-chaos must not
-    cost a single verified answer.
+    typed.
     """
     from ..serve import (
         AdmissionController,
@@ -349,7 +358,6 @@ def _run_serve_phase(
         verify=True,
         workers=2,
         admission=admission,
-        autoscale=True,
         faults=injector,
     )
     requests = _service_requests(seed + 2, count)
@@ -357,7 +365,6 @@ def _run_serve_phase(
     shed = 0
     typed_at_submit = 0
     shed_reasons: Dict[str, int] = {}
-    max_workers = service.fleet.size
     with service:
         for i, batch in enumerate(requests):
             tenant = "noisy" if i % 3 == 0 else f"tenant{i % 2}"
@@ -399,42 +406,14 @@ def _run_serve_phase(
                 # window's admission decisions.
                 service.flush()
                 service.drain()
-                max_workers = max(max_workers, service.fleet.size)
         service.flush()
         service.drain()
-        max_workers = max(max_workers, service.fleet.size)
 
-    solved = expired_n = untyped = silent = 0
-    typed = typed_at_submit
-    worst_ratio = 0.0
-    for batch, fut in futures:
-        exc = fut.exception()
-        if exc is None:
-            residual = max_residual(batch, fut.result().x)
-            ratio = residual / default_tolerance(batch)
-            worst_ratio = max(worst_ratio, ratio)
-            if ratio > 1.0:
-                silent += 1
-            else:
-                solved += 1
-        elif isinstance(exc, ReproError):
-            if type(exc).__name__ == "DeadlineExceededError":
-                expired_n += 1
-            else:
-                typed += 1
-        else:
-            untyped += 1
     return {
         "requests": count,
-        "solved": solved,
-        "typed_errors": typed,
-        "deadline_expired": expired_n,
         "shed": shed,
         "shed_reasons": shed_reasons,
-        "untyped_errors": untyped,
-        "silent_wrong": silent,
-        "worst_residual_ratio": worst_ratio,
-        "max_workers": max_workers,
+        **_audit(futures, typed_at_submit),
         "cache": service.cache.counters(),
     }
 

@@ -179,30 +179,6 @@ class Histogram(_Instrument):
             series = self._series.get(_label_key(labels))
             return series.total if series else 0.0
 
-    def quantile(self, q: float, **labels) -> float:
-        """Bucket-resolution quantile estimate: the upper bound of the
-        first bucket whose cumulative count covers ``q`` of the samples.
-
-        Values above the last finite bound are attributed to that bound
-        (a floor on the true quantile), matching the usual treatment of
-        the implicit ``+Inf`` bucket. Returns 0.0 for an empty series.
-        The estimate is deterministic — a pure function of the recorded
-        counts — so autoscaler decisions driven by it replay exactly.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        with self._lock:
-            series = self._series.get(_label_key(labels))
-            if series is None or series.count == 0:
-                return 0.0
-            rank = q * series.count
-            cumulative = 0
-            for bound, in_bucket in zip(self.buckets, series.bucket_counts):
-                cumulative += in_bucket
-                if cumulative >= rank:
-                    return bound
-            return self.buckets[-1]
-
     def _render_series(self) -> List[str]:
         with self._lock:
             items = sorted(self._series.items())

@@ -5,14 +5,12 @@
 - a :class:`~repro.service.BatchSolveService` for everything the
   service layer already does right — plan/tuning reuse, deterministic
   plan-signature grouping, merged solves, bisection, deadlines, the
-  circuit breaker — executed on the service's resizable
-  :class:`~repro.service.fleet.ScalableWorkerFleet`;
+  circuit breaker — executed on the service's fixed
+  :class:`~repro.service.WorkerFleet` of ``workers`` threads;
 - the tuning cache, read from ``cache=`` as every front end reads it
   (memory-only :class:`~repro.core.TuningCache` by default);
 - an optional :class:`~repro.serve.admission.AdmissionController`
-  (tenant quotas, priority classes) checked before anything is queued;
-- an optional :class:`~repro.serve.autoscaler.Autoscaler`, ticked on
-  every flush while the queue-depth gauge still shows the backlog.
+  (tenant quotas, priority classes) checked before anything is queued.
 
 Submission is awaitable (`await service.submit(...)` yields an
 :class:`asyncio.Future`), and the **sync facade is the same code
@@ -48,8 +46,8 @@ from ..core.tuning import resolve_cache
 from ..service.queue import CircuitBreaker
 from ..service.workers import BatchSolveService, ServiceResult
 from ..systems.tridiagonal import TridiagonalBatch
+from ..util.errors import ConfigurationError
 from .admission import AdmissionController
-from .autoscaler import Autoscaler, AutoscalerPolicy
 
 __all__ = ["AsyncSolveService"]
 
@@ -118,7 +116,7 @@ class _LoopRelay:
 
 
 class AsyncSolveService:
-    """Asyncio frontend + admission + autoscaling.
+    """Asyncio frontend + admission.
 
     Parameters mirror :class:`~repro.service.BatchSolveService` where
     they overlap; the serving-tier additions:
@@ -127,15 +125,16 @@ class AsyncSolveService:
         An :class:`AdmissionController`; ``None`` admits everything
         (single-tenant mode).
     autoscale:
-        ``True`` (or an :class:`AutoscalerPolicy`) builds an
-        :class:`Autoscaler` over the fleet, ticked at every flush.
+        Accepted only as ``False``, so callers that pass it keep
+        working: the fleet keeps the width it is built with. Any other
+        value raises :class:`ConfigurationError` before a thread starts.
     cache:
         Any tuning cache, or the path of a persistent
         :class:`~repro.core.TuningCache`; a memory-only
         ``TuningCache`` when omitted. :attr:`cache` is the cache the
         service uses.
     workers:
-        Initial fleet width (the autoscaler moves it afterwards).
+        Fleet width: the service's ``max_workers``.
     """
 
     def __init__(
@@ -146,11 +145,10 @@ class AsyncSolveService:
         cache=None,
         workers: int = 4,
         admission: Optional[AdmissionController] = None,
-        autoscale: Union[bool, AutoscalerPolicy] = False,
+        autoscale: bool = False,
         breaker: Optional[CircuitBreaker] = None,
         max_pending: int = 1024,
         overflow: str = "block",
-        submit_timeout: Optional[float] = None,
         auto_flush: Optional[int] = None,
         max_group_systems: Optional[int] = None,
         verify: bool = False,
@@ -159,6 +157,11 @@ class AsyncSolveService:
         metrics=None,
         tracer=None,
     ):
+        if autoscale is not False:
+            raise ConfigurationError(
+                f"autoscale must be False, got {autoscale!r}: the worker "
+                "fleet keeps the width it is built with"
+            )
         from ..obs import MetricsRegistry
 
         self.metrics = metrics if metrics is not None else MetricsRegistry()
@@ -173,7 +176,6 @@ class AsyncSolveService:
             max_workers=workers,
             max_pending=max_pending,
             overflow=overflow,
-            submit_timeout=submit_timeout,
             auto_flush=auto_flush,
             max_group_systems=max_group_systems,
             verify=verify,
@@ -183,23 +185,9 @@ class AsyncSolveService:
             metrics=self.metrics,
             tracer=tracer,
         )
-        self.fleet = self.service.fleet
-        self.fleet.attach_metrics(self.metrics)
         # A loop's relay is made on that loop's thread, the one thread
         # that looks it up.
         self._relays: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-        self.autoscaler: Optional[Autoscaler] = None
-        if autoscale:
-            policy = (
-                autoscale
-                if isinstance(autoscale, AutoscalerPolicy)
-                else AutoscalerPolicy(
-                    min_workers=1, max_workers=max(workers * 4, workers)
-                )
-            )
-            self.autoscaler = Autoscaler(
-                self.fleet, self.metrics, policy, tracer=tracer
-            )
 
     # -- shared request path -------------------------------------------------
 
@@ -354,9 +342,7 @@ class AsyncSolveService:
     # -- lifecycle -----------------------------------------------------------
 
     def flush(self) -> int:
-        """Tick the autoscaler on the visible backlog, then dispatch."""
-        if self.autoscaler is not None:
-            self.autoscaler.tick()
+        """Dispatch everything pending as one fleet task."""
         return self.service.flush()
 
     def drain(self) -> None:

@@ -8,12 +8,15 @@ throughput-oriented service:
   is failing;
 - :mod:`.batcher` — deterministic plan-signature grouping of requests
   into merged solves;
-- :mod:`.workers` — :class:`BatchSolveService`, the worker pool that
-  executes merged solves with shared tuning-cache and plan reuse;
+- :mod:`.workers` — :class:`BatchSolveService`, which executes merged
+  solves with shared tuning-cache and plan reuse;
+- :mod:`.fleet` — :class:`WorkerFleet`, the fixed-width worker pool a
+  service runs its flushes on;
 - :mod:`.stats` — per-group latency/throughput counters.
 """
 
 from .batcher import GroupKey, ServiceRequest, SolveGroup, group_requests
+from .fleet import WorkerFleet
 from .queue import OVERFLOW_POLICIES, BoundedRequestQueue, CircuitBreaker
 from .stats import GroupStats, ServiceStats
 from .workers import BatchSolveService, ServiceResult
@@ -21,6 +24,7 @@ from .workers import BatchSolveService, ServiceResult
 __all__ = [
     "BatchSolveService",
     "ServiceResult",
+    "WorkerFleet",
     "BoundedRequestQueue",
     "CircuitBreaker",
     "OVERFLOW_POLICIES",

@@ -110,15 +110,6 @@ class BoundedRequestQueue(Generic[T]):
         with self._lock:
             return len(self._items)
 
-    def qsize(self) -> int:
-        """Current depth — the autoscaler's (and any poller's) input.
-
-        Same value as :attr:`pending`; the method form matches the
-        stdlib queue API so fleet controllers don't reach into
-        ``_items``.
-        """
-        return self.pending
-
     def __len__(self) -> int:
         return self.pending
 

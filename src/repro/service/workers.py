@@ -13,7 +13,7 @@ requests; the service
    engine will run — into single merged
    :class:`~repro.systems.TridiagonalBatch` solves, and
 4. runs each :meth:`~BatchSolveService.flush` as one task on a
-   :class:`~repro.service.fleet.ScalableWorkerFleet` (``service.fleet``),
+   :class:`~repro.service.fleet.WorkerFleet` (``service.fleet``),
    with queue backpressure (``max_pending`` + block/reject policy). A
    flush's groups run in group order on that one warm worker; a failing
    group fails only its own requests, and :meth:`~BatchSolveService.drain`
@@ -66,7 +66,7 @@ from ..util.errors import (
 from ..util.memo import LruMemo
 from ..util.validation import check_system_batch, resolve_faults
 from .batcher import GroupKey, ServiceRequest, SolveGroup, group_requests
-from .fleet import ScalableWorkerFleet
+from .fleet import WorkerFleet
 from .queue import BoundedRequestQueue, CircuitBreaker
 from .stats import ServiceStats
 
@@ -110,13 +110,12 @@ class BatchSolveService:
         :class:`~repro.serve.shards.ShardedTuningCache`), or the path of
         a persistent one. Created memory-only when omitted.
     max_workers:
-        Initial width of :attr:`fleet`, the worker threads running
-        flushes concurrently, each flush's groups in order on one
-        worker (the serving tier's autoscaler may resize it).
-    max_pending / overflow / submit_timeout:
+        Width of :attr:`fleet`, the worker threads running flushes
+        concurrently, each flush's groups in order on one worker.
+    max_pending / overflow:
         Backpressure: the pending queue holds at most ``max_pending``
-        requests; ``overflow="block"`` waits (up to ``submit_timeout``
-        seconds) for space, ``overflow="reject"`` raises
+        requests; ``overflow="block"`` waits for space (up to
+        ``submit(timeout=)`` seconds), ``overflow="reject"`` raises
         :class:`ServiceOverloadedError` immediately.
     auto_flush:
         When set, ``submit`` dispatches pending work automatically once
@@ -174,7 +173,6 @@ class BatchSolveService:
         max_workers: int = 4,
         max_pending: int = 1024,
         overflow: str = "block",
-        submit_timeout: Optional[float] = None,
         auto_flush: Optional[int] = None,
         max_group_systems: Optional[int] = None,
         verify: bool = False,
@@ -195,7 +193,6 @@ class BatchSolveService:
         self.breaker = breaker
         self.max_group_systems = max_group_systems
         self.auto_flush = auto_flush
-        self.submit_timeout = submit_timeout
         self.stats = ServiceStats()
         self._tuning = resolve_tuning(tuning)
         self._queue: BoundedRequestQueue[ServiceRequest] = BoundedRequestQueue(
@@ -252,7 +249,7 @@ class BatchSolveService:
             )
         self.dist_solver: Optional[DistributedSolver] = dist
         # Last, so a constructor that raises leaves no live threads.
-        self.fleet = ScalableWorkerFleet(max_workers)
+        self.fleet = WorkerFleet(max_workers)
 
     def _routes_to_dist(self, batch: TridiagonalBatch, dev: Device) -> bool:
         """Oversized for one device, and the group models that device."""
@@ -427,10 +424,7 @@ class BatchSolveService:
             tolerance=None if tolerance is None else float(tolerance),
         )
         try:
-            self._queue.put(
-                request,
-                timeout=self.submit_timeout if timeout is None else timeout,
-            )
+            self._queue.put(request, timeout=timeout)
         except Exception:
             self.stats.record_rejected()
             raise

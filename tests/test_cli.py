@@ -5,7 +5,6 @@ import io
 import pytest
 
 from repro.cli import main
-from repro.serve import FIXED_WIDTHS
 
 
 def _run(argv):
@@ -161,22 +160,19 @@ class TestServeBench:
         assert code == 0
         assert "merged solves" in text
 
-    def test_async_prints_one_row_per_fleet(self):
-        code, text = _run(["serve-bench", "--async", "--requests", "2000"])
-        assert code == 0
-        assert "worker-ms" in text
-        rows = [line for line in text.splitlines() if line.startswith("| fixed ")]
-        assert [row.split("|")[1].strip() for row in rows] == [
-            f"fixed {width}" for width in FIXED_WIDTHS
-        ]
-        (auto,) = [line for line in text.splitlines() if line.startswith("| autoscale ")]
-        for row in rows + [auto]:
-            assert row.split("|")[7].strip().replace(",", "").isdigit()
-
-    def test_async_rejects_the_retired_flags(self):
-        for retired in (["--shards", "8"], ["--autoscale"]):
-            with pytest.raises(SystemExit):
-                main(["serve-bench", "--async", "--requests", "10", *retired], out=io.StringIO())
+    def test_rejects_the_retired_flags(self, capsys):
+        for retired in (
+            ["--async"],
+            ["--tenants", "4"],
+            ["--rate", "100"],
+            ["--json", "x.json"],
+            ["--shards", "8"],
+            ["--autoscale"],
+        ):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["serve-bench", "--requests", "10", *retired], out=io.StringIO())
+            assert exit_info.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestFigures:

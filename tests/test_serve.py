@@ -2,11 +2,10 @@
 
 Covers the opt-in sharded tuning cache (stable mapping, counters,
 replay) and the tier's default cache, per-tenant admission (quota order, typed errors, starvation
-prevention via pending caps), the resizable worker fleet and its
+prevention via pending caps), the fixed worker fleet and its
 most-recently-idle handoff, the relay that resolves the asyncio
-frontend's futures, the metrics-driven autoscaler, and the
-serving-tier additions to the service primitives (breaker probes,
-queue-wait histogram, histogram quantiles).
+frontend's futures, and the serving-tier additions to the service
+primitives (breaker probes, queue-wait histogram).
 """
 
 import asyncio
@@ -28,13 +27,11 @@ from repro.serve import (
     PRIORITIES,
     AdmissionController,
     AsyncSolveService,
-    Autoscaler,
-    AutoscalerPolicy,
-    ScalableWorkerFleet,
     ShardedTuningCache,
     TenantQuota,
 )
 from repro.serve.frontend import _LoopRelay
+from repro.service import WorkerFleet
 from repro.service.queue import BoundedRequestQueue, CircuitBreaker
 from repro.systems import generators
 from repro.util.errors import (
@@ -245,13 +242,13 @@ class TestAdmission:
 
 
 # ---------------------------------------------------------------------------
-# ScalableWorkerFleet
+# WorkerFleet
 # ---------------------------------------------------------------------------
 
 
 class TestFleet:
     def test_executes_submitted_work(self):
-        fleet = ScalableWorkerFleet(2)
+        fleet = WorkerFleet(2)
         try:
             futures = [fleet.submit(lambda v=i: v * v) for i in range(8)]
             assert sorted(f.result(timeout=5) for f in futures) == [
@@ -260,53 +257,31 @@ class TestFleet:
         finally:
             fleet.shutdown()
 
-    def test_resize_up_and_down(self):
-        fleet = ScalableWorkerFleet(1)
-        try:
-            assert fleet.resize(4) == 3
-            assert fleet.size == 4
-            assert fleet.resize(2) == -2
-            assert fleet.size == 2
-            # Still serves work after shrinking.
-            assert fleet.submit(lambda: 42).result(timeout=5) == 42
-        finally:
-            fleet.shutdown()
+    def test_shutdown_does_not_interrupt_running_work(self):
+        fleet = WorkerFleet(2)
+        started, release = threading.Event(), threading.Event()
 
-    def test_shrink_does_not_interrupt_running_work(self):
-        fleet = ScalableWorkerFleet(2)
-        release = threading.Event()
-        try:
-            slow = fleet.submit(release.wait, 5)
-            fleet.resize(1)
-            release.set()
-            assert slow.result(timeout=5) is True
-        finally:
-            fleet.shutdown()
+        def slow():
+            started.set()
+            return release.wait(5)
 
-    def test_gauge_tracks_width(self):
-        registry = MetricsRegistry()
-        fleet = ScalableWorkerFleet(2)
-        try:
-            fleet.attach_metrics(registry)
-            gauge = registry.get("repro_serve_fleet_workers")
-            assert gauge.value() == 2
-            fleet.resize(5)
-            assert gauge.value() == 5
-        finally:
-            fleet.shutdown()
-            assert gauge.value() == 0
+        running = fleet.submit(slow)
+        assert started.wait(5)
+        queued = [fleet.submit(lambda v=i: v) for i in range(4)]
+        fleet.shutdown(wait=False)  # while ``slow`` runs
+        release.set()
+        assert running.result(timeout=5) is True
+        assert [f.result(timeout=5) for f in queued] == list(range(4))
 
     def test_shutdown_is_idempotent_and_rejects_after(self):
-        fleet = ScalableWorkerFleet(1)
+        fleet = WorkerFleet(1)
         fleet.shutdown()
         fleet.shutdown()
         with pytest.raises(ConfigurationError):
             fleet.submit(lambda: 1)
-        with pytest.raises(ConfigurationError):
-            fleet.resize(2)
 
     def test_worker_exceptions_propagate_via_future(self):
-        fleet = ScalableWorkerFleet(1)
+        fleet = WorkerFleet(1)
         try:
 
             def boom():
@@ -318,7 +293,7 @@ class TestFleet:
             fleet.shutdown()
 
     def test_an_idle_worker_drops_its_finished_task(self):
-        fleet = ScalableWorkerFleet(2)
+        fleet = WorkerFleet(2)
         try:
             payload = _Payload()
             alive = weakref.ref(payload)
@@ -330,7 +305,7 @@ class TestFleet:
             fleet.shutdown()
 
     def test_sequential_tasks_run_on_one_thread(self):
-        fleet = ScalableWorkerFleet(2)
+        fleet = WorkerFleet(2)
         try:
             idents = {
                 fleet.submit(threading.get_ident).result(timeout=5)
@@ -340,48 +315,8 @@ class TestFleet:
         finally:
             fleet.shutdown()
 
-    def test_a_shrink_keeps_the_warm_worker(self):
-        fleet = ScalableWorkerFleet(2)
-        try:
-            # Both workers run at once, so both have started and gone idle.
-            barrier = threading.Barrier(2)
-
-            def meet():
-                barrier.wait(5)
-                return threading.get_ident()
-
-            both = {f.result(timeout=5) for f in [fleet.submit(meet), fleet.submit(meet)]}
-            assert len(both) == 2
-            warm = fleet.submit(threading.get_ident).result(timeout=5)
-            fleet.resize(1)
-            for _ in range(20):
-                assert fleet.submit(threading.get_ident).result(timeout=5) == warm
-            for cold in [t for t in threading.enumerate() if t.ident in both - {warm}]:
-                cold.join(timeout=5)
-                assert not cold.is_alive()
-        finally:
-            fleet.shutdown()
-
-    def test_retired_threads_are_forgotten(self):
-        fleet = ScalableWorkerFleet(1)
-        try:
-            for _ in range(20):
-                fleet.resize(4)
-                fleet.resize(1)
-            deadline = time.monotonic() + 10
-            while sum(t.is_alive() for t in fleet._threads) > 1:
-                assert time.monotonic() < deadline, "retired workers did not exit"
-                time.sleep(0.01)
-            fleet.resize(1)
-            assert len(fleet._threads) == 1
-            assert fleet._threads[0].is_alive()
-            assert fleet.submit(lambda: 7).result(timeout=5) == 7
-        finally:
-            fleet.shutdown()
-        assert not fleet._threads[0].is_alive()
-
-    def test_concurrent_submits_and_resizes_lose_no_task(self):
-        fleet = ScalableWorkerFleet(3)
+    def test_concurrent_submits_lose_no_task(self):
+        fleet = WorkerFleet(3)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -391,12 +326,7 @@ class TestFleet:
                 for i in range(200):
                     out.append(fleet.submit(lambda v=i: v))
 
-            def resizer():
-                for width in (6, 1, 4, 2, 5, 3) * 5:
-                    fleet.resize(width)
-
             threads = [threading.Thread(target=submitter, args=(out,)) for out in futures]
-            threads.append(threading.Thread(target=resizer))
             for t in threads:
                 t.start()
             for t in threads:
@@ -407,7 +337,7 @@ class TestFleet:
         finally:
             sys.setswitchinterval(interval)
             fleet.shutdown()
-        assert fleet.size == 0
+        assert not any(t.is_alive() for t in fleet._threads)
 
 
 class _Payload:
@@ -581,127 +511,18 @@ class TestLoopRelay:
             assert service.service.cache is service.cache
 
 
-# ---------------------------------------------------------------------------
-# Autoscaler
-# ---------------------------------------------------------------------------
-
-
-class _FakeFleet:
-    def __init__(self, size=2):
-        self._size = size
-        self.resizes = []
-
-    @property
-    def size(self):
-        return self._size
-
-    def resize(self, n):
-        self.resizes.append(n)
-        self._size = n
-
-
-class TestAutoscaler:
-    def _setup(self, policy=None):
-        registry = MetricsRegistry()
-        depth = registry.gauge(Autoscaler.DEPTH_METRIC, "")
-        hist = registry.histogram(Autoscaler.LATENCY_METRIC, "")
-        fleet = _FakeFleet(2)
-        scaler = Autoscaler(fleet, registry, policy)
-        return registry, depth, hist, fleet, scaler
-
-    def test_scales_up_proportionally_on_backlog(self):
-        _, depth, _, fleet, scaler = self._setup(
-            AutoscalerPolicy(max_workers=16, target_queue_per_worker=4.0)
-        )
-        depth.set(40.0)  # 40 queued / target 4 => wants 10 workers
-        decision = scaler.tick()
-        assert decision.action == "up"
-        assert decision.reason == "queue_depth"
-        assert fleet.size == 10
-
-    def test_scales_up_on_latency_slo_breach(self):
-        _, depth, hist, fleet, scaler = self._setup(
-            AutoscalerPolicy(max_workers=8, latency_slo_ms=10.0)
-        )
-        depth.set(1.0)  # no backlog
-        for _ in range(100):
-            hist.observe(50.0)  # p99 far over the 10 ms SLO
-        decision = scaler.tick()
-        assert decision.action == "up"
-        assert decision.reason == "latency_slo"
-        assert fleet.size == 3
-
-    def test_scales_down_slowly_after_calm_ticks(self):
-        _, depth, _, fleet, scaler = self._setup(
-            AutoscalerPolicy(idle_ticks_down=3, cooldown_ticks=0)
-        )
-        fleet._size = 4
-        depth.set(0.0)
-        actions = [scaler.tick().action for _ in range(3)]
-        assert actions == ["hold", "hold", "down"]
-        assert fleet.size == 3
-
-    def test_scales_down_once_depth_per_worker_is_within_target(self):
-        _, depth, _, fleet, scaler = self._setup(
-            AutoscalerPolicy(
-                target_queue_per_worker=4.0, idle_ticks_down=3, cooldown_ticks=0
-            )
-        )
-        fleet._size = 4
-        depth.set(10.0)  # more queued than workers, under 4 per worker
-        actions = [scaler.tick().action for _ in range(3)]
-        assert actions == ["hold", "hold", "down"]
-        assert fleet.size == 3
-
-    def test_cooldown_suppresses_flapping(self):
-        _, depth, _, fleet, scaler = self._setup(
-            AutoscalerPolicy(max_workers=16, cooldown_ticks=2)
-        )
-        depth.set(100.0)
-        assert scaler.tick().action == "up"
-        assert scaler.tick().reason == "cooldown"
-        assert scaler.tick().reason == "cooldown"
-        assert scaler.tick().action in ("up", "hold")
-
-    def test_respects_max_workers(self):
-        _, depth, _, fleet, scaler = self._setup(
-            AutoscalerPolicy(max_workers=4, cooldown_ticks=0)
-        )
-        depth.set(10_000.0)
-        scaler.tick()
-        assert fleet.size == 4
-        assert scaler.tick().reason in ("at_max", "cooldown")
-
-    def test_decisions_recorded_as_metrics_and_spans(self):
-        from repro.obs import Tracer
-
-        registry = MetricsRegistry()
-        depth = registry.gauge(Autoscaler.DEPTH_METRIC, "")
-        tracer = Tracer()
-        fleet = _FakeFleet(1)
-        scaler = Autoscaler(
-            fleet,
-            registry,
-            AutoscalerPolicy(max_workers=8),
-            tracer=tracer,
-        )
-        depth.set(50.0)
-        scaler.tick(now_ms=123.0)
-        counter = registry.get("repro_serve_autoscaler_decisions_total")
-        assert counter.value(action="up") == 1
-        gauge = registry.get("repro_serve_autoscaler_target_workers")
-        assert gauge.value() > 1
-        spans = [s for s in tracer.spans() if s.category == "autoscale"]
-        assert len(spans) == 1
-        assert spans[0].attr("action") == "up"
-
-    def test_policy_validation(self):
-        with pytest.raises(ConfigurationError):
-            AutoscalerPolicy(min_workers=0)
-        with pytest.raises(ConfigurationError):
-            AutoscalerPolicy(min_workers=8, max_workers=4)
-        with pytest.raises(ConfigurationError):
-            AutoscalerPolicy(target_queue_per_worker=0.0)
+class TestFrontend:
+    def test_autoscale_accepts_only_false_and_starts_no_thread(self):
+        before = threading.active_count()
+        with pytest.raises(ConfigurationError, match="autoscale"):
+            AsyncSolveService("gtx470", SWITCH, workers=2, autoscale=True)
+        assert threading.active_count() == before
+        service = AsyncSolveService("gtx470", SWITCH, workers=2, autoscale=False)
+        try:
+            assert threading.active_count() == before + 2
+        finally:
+            service.close()
+        assert threading.active_count() == before
 
 
 # ---------------------------------------------------------------------------
@@ -777,14 +598,6 @@ class TestBreakerProbes:
 
 
 class TestQueueServing:
-    def test_qsize_matches_pending(self):
-        q = BoundedRequestQueue(max_pending=4)
-        q.put("a")
-        q.put("b")
-        assert q.qsize() == 2 == q.pending == len(q)
-        q.drain()
-        assert q.qsize() == 0
-
     def test_wait_histogram_observes_every_put(self):
         registry = MetricsRegistry()
         q = BoundedRequestQueue(max_pending=4)
@@ -820,27 +633,3 @@ class TestQueueServing:
             q.put("b", timeout=0.01)
         hist = registry.get("repro_service_queue_wait_ms")
         assert hist.count() == 2
-
-
-class TestHistogramQuantile:
-    def test_quantile_walks_buckets(self):
-        registry = MetricsRegistry()
-        hist = registry.histogram("h", "", buckets=(1.0, 10.0, 100.0))
-        for v in (0.5, 0.5, 5.0, 50.0):
-            hist.observe(v)
-        assert hist.quantile(0.5) == 1.0  # 2/4 inside the 1.0 bucket
-        assert hist.quantile(0.75) == 10.0
-        assert hist.quantile(1.0) == 100.0
-
-    def test_quantile_empty_and_bounds(self):
-        registry = MetricsRegistry()
-        hist = registry.histogram("h", "")
-        assert hist.quantile(0.99) == 0.0
-        with pytest.raises(ValueError):
-            hist.quantile(1.5)
-
-    def test_quantile_caps_at_last_finite_bound(self):
-        registry = MetricsRegistry()
-        hist = registry.histogram("h", "", buckets=(1.0, 2.0))
-        hist.observe(1000.0)
-        assert hist.quantile(0.99) == 2.0

@@ -80,9 +80,9 @@ def test_sync_facade_and_async_frontend_are_bit_identical(batches):
 @settings(**COMMON)
 @given(batches=st.lists(request_batches(), min_size=1, max_size=6))
 def test_serving_tier_matches_standalone_solver(batches):
-    """The serving tier adds admission/sharding/autoscaling around the
-    service — never around the numbers."""
-    with _service(autoscale=True) as svc:
+    """The serving tier adds admission around the service — never
+    around the numbers."""
+    with _service() as svc:
         results = svc.solve_many_sync(batches)
     for batch, res in zip(batches, results):
         direct = MultiStageSolver(DEVICE, SWITCH).solve(batch)
