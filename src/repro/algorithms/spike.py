@@ -23,6 +23,15 @@ extension packages composing. The decomposition helpers
 :func:`reconstruct_chunk`) are exported because the multi-device
 domain-decomposition solver in :mod:`repro.dist` runs the same math with
 each chunk's three-RHS solve placed on a different simulated device.
+
+The helpers copy nothing: a chunk is views of the caller's arrays plus
+its two coupling rows, and its three-RHS solve is a
+:class:`~repro.systems.tridiagonal.SharedMatrixBatch` over those views
+whose two spikes are impulse planes, each one row of values (Li, Serban
+& Negrut, arXiv:1509.07919, define the spikes' right-hand sides as zero
+outside one block row). The solver's ``Pad`` loads each chunk once into
+the split chain's layout, clearing the decoupled corners as it copies;
+the CPU reference here solves the tiled logical batch instead.
 """
 
 from __future__ import annotations
@@ -88,19 +97,23 @@ def partition_bounds(n: int, partitions: int) -> Tuple[Tuple[int, int], ...]:
 
 @dataclass(frozen=True)
 class ChunkSplit:
-    """One SPIKE chunk: decoupled local systems plus their couplings.
+    """One SPIKE chunk: its rows of every system, and their couplings.
 
-    ``batch`` holds the chunk's rows with the cross-boundary coefficients
-    removed (corners zeroed); ``left_coupling``/``right_coupling`` are
-    the removed coefficients, one per system, tying the chunk's first row
-    to the previous chunk's last unknown and its last row to the next
-    chunk's first unknown.
+    ``a``, ``b``, ``c`` and ``d`` are ``(m, q)`` views of the caller's
+    arrays; ``a[:, 0]`` and ``c[:, -1]`` are the cross-boundary
+    coefficients, which decoupling removes. ``left_coupling`` and
+    ``right_coupling`` are those coefficients, one per system, tying the
+    chunk's first row to the previous chunk's last unknown and its last
+    row to the next chunk's first unknown.
     """
 
     index: int
     start: int
     stop: int
-    batch: TridiagonalBatch
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    d: np.ndarray
     left_coupling: np.ndarray  # (m,)
     right_coupling: np.ndarray  # (m,)
 
@@ -109,37 +122,33 @@ class ChunkSplit:
         """Rows in this chunk."""
         return self.stop - self.start
 
+    @property
+    def batch(self) -> TridiagonalBatch:
+        """The decoupled local systems (corners +0), a copy built when
+        read."""
+        a, c = self.a.copy(), self.c.copy()
+        a[:, 0] = c[:, -1] = 0
+        return TridiagonalBatch(a, self.b, c, self.d)
+
 
 def split_chunks(
     batch: TridiagonalBatch, bounds: Tuple[Tuple[int, int], ...]
 ) -> List[ChunkSplit]:
-    """Cut ``batch`` into decoupled chunks along ``bounds``."""
+    """Cut ``batch`` into chunks along ``bounds``, as views."""
     chunks: List[ChunkSplit] = []
     for i, (start, stop) in enumerate(bounds):
-        a = batch.a[:, start:stop].copy()
-        b = batch.b[:, start:stop]
-        c = batch.c[:, start:stop].copy()
-        d = batch.d[:, start:stop]
-        left = a[:, 0].copy()
-        right = c[:, -1].copy()
-        a[:, 0] = 0.0
-        c[:, -1] = 0.0
+        a, b, c, d = (
+            arr[:, start:stop] for arr in (batch.a, batch.b, batch.c, batch.d)
+        )
         chunks.append(
-            ChunkSplit(
-                index=i,
-                start=start,
-                stop=stop,
-                batch=TridiagonalBatch(a, b, c, d),
-                left_coupling=left,
-                right_coupling=right,
-            )
+            ChunkSplit(i, start, stop, a, b, c, d, a[:, 0], c[:, -1])
         )
     return chunks
 
 
 def spike_rhs(chunk: ChunkSplit) -> SharedMatrixBatch:
     """The chunk's three-RHS solve: its ``(m, q)`` matrix, once, against
-    the ``(3, m, q)`` planes [data | left spike | right spike].
+    the planes [data | left spike | right spike].
 
     Plane 0 carries the data right-hand side (whose solution is ``y``),
     plane 1 the left coupling impulse (solution ``w``), plane 2 the right
@@ -150,17 +159,19 @@ def spike_rhs(chunk: ChunkSplit) -> SharedMatrixBatch:
     ``[0, m)``, ``[m, 2m)`` and ``[2m, 3m)`` of its solution are ``y``,
     ``w`` and ``v``.
 
-    Each spike plane is +0 but for one row, the chunk's first or last,
-    and a PCR step at stride ``s`` widens its nonzero rows by only
-    ``s``, so until Thomas the split chain sweeps a spike only over
-    those rows (:mod:`repro.kernels.chain`).
+    The matrix and data are the chunk's views, whose corners still hold
+    the couplings, and each spike is an impulse plane: the chunk's first
+    or last row, holding the coupling values. A PCR step at stride ``s``
+    widens a spike's nonzero rows by only ``s``, so until Thomas the
+    split chain sweeps it only over those rows (:mod:`repro.kernels.chain`).
     """
-    m, q = chunk.batch.shape
-    rhs = np.zeros((3, m, q), dtype=chunk.batch.dtype)
-    rhs[0] = chunk.batch.d
-    rhs[1, :, 0] = chunk.left_coupling
-    rhs[2, :, -1] = chunk.right_coupling
-    return SharedMatrixBatch(chunk.batch.a, chunk.batch.b, chunk.batch.c, rhs)
+    return SharedMatrixBatch(
+        chunk.a,
+        chunk.b,
+        chunk.c,
+        chunk.d[None],
+        impulses=((0, chunk.left_coupling), (chunk.size - 1, chunk.right_coupling)),
+    )
 
 
 def solve_reduced_system(

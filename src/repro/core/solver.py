@@ -233,7 +233,8 @@ class MultiStageSolver:
         :class:`~repro.ir.Engine` interprets it with data — the same
         program :func:`~repro.core.pricing.simulate_plan` prices.
         """
-        self.device.check_fits_global(batch.nbytes + batch.d.nbytes)
+        # The four coefficient arrays and the solution, as a device holds them.
+        self.device.check_fits_global(5 * batch.nbytes // 4)
         program = self._program_for(plan, dtype_size(batch.dtype))
         tracer = self.tracer
         if tracer is not None:

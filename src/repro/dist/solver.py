@@ -665,6 +665,7 @@ class DistributedSolver:
         for q in plan.chunk_sizes:
             bounds.append((start, start + q))
             start += q
+        # Views of batch: each member's Pad loads its chunk once.
         chunks = split_chunks(batch, tuple(bounds))
 
         ys: List[np.ndarray] = []

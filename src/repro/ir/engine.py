@@ -33,6 +33,16 @@ device, span) and, on a tracer, an ``instruction`` span with one
 ``kernel`` child per launch, so every path gets uniform observability
 from one bookkeeping mechanism.
 
+A run first *places* its program, data-free, then *replays* the
+placement: in list-scheduling order each step runs its numerics under
+the fault hooks, and its span lands on the tracer. A solve program's
+placement (the step order, each step's start and end, and its launch
+records) is a function of the program and the engine's devices, so the
+engine prices it once and keeps it in a bounded memo keyed by the
+program; a warm solve does only numerics, fault hooks and spans. A dist
+program is placed on every run, since clock skew and link degradation
+can move its durations between runs.
+
 Fault injection
 ---------------
 An optional :class:`~repro.faults.FaultInjector` hooks every costed
@@ -64,6 +74,7 @@ from ..gpu.executor import Device, LaunchRecord, SimReport
 from ..kernels.base import KernelContext
 from ..obs.trace import kernel_spans
 from ..util.errors import FaultInjectionError, PlanError, ReproError
+from ..util.memo import LruMemo
 from .instructions import Program, Step, Transfer, signature_text
 
 
@@ -159,6 +170,17 @@ class StepTrace:
 
 
 @dataclass(frozen=True)
+class _Placement:
+    """A placed program: per step in list-scheduling order ``(index,
+    start, end, duration, launches)``, where ``duration`` is the priced
+    time a retried attempt wastes, and the run's report and traces."""
+
+    order: Tuple[Tuple[int, float, float, float, Tuple[LaunchRecord, ...]], ...]
+    report: object
+    trace: Tuple[StepTrace, ...]
+
+
+@dataclass(frozen=True)
 class EngineRun:
     """Outcome of one program interpretation.
 
@@ -198,6 +220,7 @@ class Engine:
         self.injector = injector  # optional FaultInjector; mutable
         self.tracer = tracer  # optional obs.Tracer; mutable
         self._price_ctx: Dict[int, KernelContext] = {}
+        self._placements: LruMemo[_Placement] = LruMemo("engine_placements")
 
     @classmethod
     def for_device(cls, device: Device) -> "Engine":
@@ -332,21 +355,59 @@ class Engine:
         return self._run(program)
 
     def _run(self, program: Program, numerics=_no_numerics) -> EngineRun:
+        """Replay ``program``'s placement, running ``numerics(step)`` (the
+        solve in execute mode) under the fault hooks for every step in
+        list-scheduling order. A solve program is placed once per
+        engine; a dist program on every run."""
+        steps = program.steps
+        tracer = self.tracer
+        token = self._begin_program(program, 0.0)
+        clock = 0.0
+        try:
+            if program.kind == "solve":
+                placement = self._placements.get_or_make(
+                    program, lambda: self._place(program)
+                )
+            else:
+                placement = self._place(program)
+            budget = self._budget()
+            for i, start, end, duration, launches in placement.order:
+                step = steps[i]
+                try:
+                    retries = self._interpret(
+                        program, i, step, budget, numerics, duration
+                    )
+                except ReproError as exc:
+                    raise self._annotate(exc, i, step)
+                clock = max(clock, end)
+                if tracer is not None:
+                    self._span_step(i, step, start, end, retries, launches)
+        except ReproError as exc:
+            if tracer is not None:
+                tracer.abort_to(token, clock, error=type(exc).__name__)
+            raise
+        if tracer is not None:
+            tracer.end(clock)
+        # Each run gets its own report object, equal to the placement's:
+        # callers tell runs apart by identity (a merged group's answers
+        # share one report).
+        return EngineRun(
+            program=program, report=replace(placement.report), trace=placement.trace
+        )
+
+    def _place(self, program: Program) -> _Placement:
         """Place every step of ``program`` in list-scheduling order,
-        running ``numerics(step)`` before each placement (the solve in
-        execute mode)."""
+        data-free: its start, then its launches or transfer time."""
         handlers = _handlers()
         steps = program.steps
         skew = self.injector if program.kind == "dist" else None
         lanes = [() if s.is_marker else s.resource_keys for s in steps]
         end_of: List[float] = [0.0] * len(steps)
         free: Dict[str, float] = {}
+        order = []
         records: List[LaunchRecord] = []
         events: List[Tuple[Step, float, float]] = []
         traces: List[Optional[StepTrace]] = [None] * len(steps)
-        budget = self._budget()
-        tracer = self.tracer
-        token = self._begin_program(program, 0.0)
         try:
             for i, start in _list_schedule(steps, lanes, end_of, free):
                 step = steps[i]
@@ -382,9 +443,7 @@ class Engine:
                         )
                         end += ms
                         duration += ms
-                retries = self._interpret(
-                    program, i, step, budget, numerics, duration
-                )
+                order.append((i, start, end, duration, tuple(launches)))
                 records += launches
                 end_of[i] = end
                 for key in lanes[i]:
@@ -393,8 +452,6 @@ class Engine:
                     i, type(op).__name__, step.stage, step.device, step.engine,
                     start, end,
                 )
-                if tracer is not None:
-                    self._span_step(i, step, start, end, retries, launches)
                 # Compute spans always land on the timeline (even
                 # zero-duration ones); transfers only when data moved — a
                 # free local hop occupies the link for no time.
@@ -403,20 +460,14 @@ class Engine:
                 ):
                     events.append((step, start, end))
         except ReproError as exc:
-            if tracer is not None:
-                tracer.abort_to(
-                    token, max(end_of, default=0.0), error=type(exc).__name__
-                )
             raise self._annotate(exc, i, steps[i])
-        if tracer is not None:
-            tracer.end(max(end_of, default=0.0))
         if program.kind == "solve":
             report = SimReport(
                 device_name=self._require_device(0).name, records=tuple(records)
             )
         else:
             report = self._dist_report(program, events)
-        return EngineRun(program=program, report=report, trace=tuple(traces))
+        return _Placement(tuple(order), report, tuple(traces))
 
     def _dist_report(self, program: Program, events):
         """Per-device timelines of placed ``(step, start, end)`` events.

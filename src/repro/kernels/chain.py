@@ -30,7 +30,7 @@ index in the nested-gather order.
 A batch whose ``d`` holds ``r`` right-hand-side planes against one
 matrix (SPIKE's data and two spikes) is ``r·m`` logical systems. Each
 step is a *matrix pass* and then a *plane pass*: a PCR segment computes
-its ``alpha``, ``gamma`` and new ``a``, ``b``, ``c`` (10 ufunc calls),
+its ``alpha``, ``gamma`` and new ``a``, ``b``, ``c`` (8 ufunc calls),
 then updates every ``d`` plane with them (4 calls each); a Thomas row
 computes its pivot and ``c'`` (3 calls), then every plane's ``d'`` (3
 each), and back substitution is plane work alone. These are the values
@@ -38,8 +38,21 @@ the ``r``-fold tiled batch would recompute per copy, so each plane is
 bit-identical to its systems in the tiled solve. :class:`FactoredChain`
 runs one matrix's passes once and keeps what the plane passes read:
 each PCR step's ``alpha`` and ``gamma``, and the Thomas ``a``, pivot
-and ``c'`` rows. Its solves replay only the plane passes, so they are
+and ``c'`` rows, in their stored signs. Its solves replay only the plane passes, so they are
 bit-identical to the full chain by construction.
+
+Every split writes the off-diagonals negated, ``-a'`` and ``-c'``, so
+its matrix pass divides the stored values with no ``np.negative`` pass:
+from stored ``s_a`` it keeps ``s_a / b`` as ``alpha`` and forms ``b'``
+with two subtractions. The first split reads the loaded ``a`` and
+``c`` as they are, so its ``alpha`` and ``gamma`` are the reference's
+negated, and a later split reads ``-a`` and ``-c``, so they equal the
+reference's; a missing neighbour is the identity equation in the
+stored sign, ``(0, 1, 0)`` or ``(-0, 1, -0)``. The plane passes and
+Thomas pick ``subtract`` or ``add`` by that sign. Negation, products,
+quotients and ``x - y = x + (-y)`` are exact in IEEE 754, so every
+value is the reference's, or exactly its negation, and solutions stay
+bit-identical.
 
 A plane may be +0 in all but a few rows: SPIKE's two spikes start as
 one nonzero row each. The chain tracks each plane's *extent*, the rows
@@ -49,9 +62,9 @@ only where the segment meets that. Outside it the reference computes
 ``+0 + alpha·0 + gamma·0``, which is +0 for finite coefficients, and
 the skipped rows already hold +0. A step whose coefficients are not
 all finite sweeps every plane in full, so answers stay bit-identical.
-A chain of one plane, the data itself, takes it to span its system,
-and a plane whose first and last rows are set costs two row reads to
-find so; Thomas sweeps every plane whole.
+The extents are given, not scanned: ``Pad`` knows them when it loads
+the planes (:mod:`repro.kernels.handlers`), and a chain given none
+takes every plane to span its system. Thomas sweeps every plane whole.
 
 A chain owns two ping-pong buffer sets for all its steps and runs each
 step tile by tile, so the per-step scratch stays in cache. It never
@@ -111,13 +124,18 @@ class SplitChain:
     :meth:`thomas`. Solutions come back as new arrays shaped like the
     batch's ``d``: ``(n, m)``, or ``(r, n, m)`` for ``r`` planes.
 
-    With more than one plane, each plane's extent is found once, from
-    its first and last rows inward, and every split widens it by the
-    step's stride; the PCR plane passes sweep only within it (see the
-    module docstring).
+    ``extents`` gives each plane's flat ``[lo, hi)`` outside which it
+    holds +0, by default its whole system; every split widens them by
+    the step's stride, and the PCR plane passes sweep only within them
+    (see the module docstring).
     """
 
-    def __init__(self, coeffs: Sequence[np.ndarray], owned: bool = False):
+    def __init__(
+        self,
+        coeffs: Sequence[np.ndarray],
+        owned: bool = False,
+        extents: Optional[Sequence[Tuple[int, int]]] = None,
+    ):
         a, b, c, d = coeffs
         # a, b, c, then one d per right-hand-side plane; all (n, m).
         self._arrays: List[np.ndarray] = [a, b, c, *(d if d.ndim == 3 else [d])]
@@ -130,15 +148,19 @@ class SplitChain:
         self._floor = _pivot_floor(self.dtype)
         self.groups = 1  # subsystems per system so far
         self._radices: List[int] = []  # 2**k of every split, in order
-        # Per plane, the flat [lo, hi) outside which it holds +0. One
-        # plane is the data itself, taken to span its system.
-        planes = self._arrays[3:]
-        self._extents = [(0, self.n * self.m)] * len(planes)
-        if len(planes) > 1:
-            self._extents = [_extent(d) for d in planes]
+        self._negated = False  # whether a and c hold -a and -c
+        # Per plane, the flat [lo, hi) outside which it holds +0.
+        full = (0, self.n * self.m)
+        self._extents = [full] * self.planes if extents is None else list(extents)
 
     @classmethod
-    def of(cls, work: BatchedTridiagonal, *, owned: bool = False) -> "SplitChain":
+    def of(
+        cls,
+        work: BatchedTridiagonal,
+        *,
+        owned: bool = False,
+        extents: Optional[Sequence[Tuple[int, int]]] = None,
+    ) -> "SplitChain":
         """A chain over an ``(n, m)`` batch; with ``owned`` it may
         overwrite ``work``'s arrays, so pass it only for a private copy."""
         if not isinstance(work, BatchedTridiagonal):
@@ -146,7 +168,7 @@ class SplitChain:
                 f"SplitChain needs a BatchedTridiagonal, got {type(work).__name__}"
                 " (load a row-major batch with BatchedTridiagonal.interleave)"
             )
-        return cls((work.a, work.b, work.c, work.d), owned)
+        return cls((work.a, work.b, work.c, work.d), owned, extents)
 
     def _buffers(self, count: int) -> List[np.ndarray]:
         return [_new((self.n, self.m), self.dtype) for _ in range(count)]
@@ -166,7 +188,8 @@ class SplitChain:
 
     def _split(self, steps: int, kept: Optional[list]) -> None:
         """:meth:`split`; given a list ``kept``, each step appends its
-        full-length ``(alpha, gamma, off)`` to it."""
+        full-length ``(alpha, gamma, off, negated)`` to it, ``negated``
+        telling whether the step read ``-a`` and ``-c``."""
         if steps < 0:
             raise ConfigurationError("split steps must be >= 0")
         if steps == 0:
@@ -185,17 +208,19 @@ class SplitChain:
             coeffs = None
             if kept is not None:
                 coeffs = [buf.reshape(-1) for buf in self._buffers(2)]
-                kept.append((*coeffs, off))
+                kept.append((*coeffs, off, self._negated))
             self._extents = _pcr_step(
                 [arr.reshape(-1) for arr in self._arrays],
                 [arr.reshape(-1) for arr in dst],
                 off,
                 scratch,
                 self._extents,
+                self._negated,
                 coeffs,
             )
             self._spare = self._arrays if self._owned else None
             self._arrays, self._owned = dst, True
+            self._negated = True
             stride *= 2
         self.groups <<= steps
         self._radices.append(1 << steps)
@@ -227,7 +252,7 @@ class SplitChain:
         # One pivot row, reused: nothing replays it.
         betas = [_new((width,), self.dtype)] * rows
         check = self._check_pivots if check else None
-        _sweep(a, betas, cp, list(zip(ds, dps)), x, (b, c, check))
+        _sweep(a, betas, cp, list(zip(ds, dps)), x, self._negated, (b, c, check))
         return x.reshape(self._rhs_shape)
 
     def _check_pivots(self, beta: np.ndarray, row: int) -> None:
@@ -263,11 +288,13 @@ class FactoredChain:
         for copy, arr in zip(matrix, (batch.a, batch.b, batch.c)):
             np.copyto(copy, arr.T)
         chain = SplitChain((*matrix, np.empty((0, n, m), dtype=batch.dtype)), owned=True)
-        self._steps: List[Tuple[np.ndarray, np.ndarray, int]] = []
+        self._steps: List[Tuple[np.ndarray, np.ndarray, int, bool]] = []
         chain._split(steps, self._steps)
+        self._negated = chain._negated
         self._a, b, c = (arr.reshape(n >> steps, m << steps) for arr in chain._arrays)
         self._beta, self._cp = (_new(self._a.shape, batch.dtype) for _ in range(2))
-        _sweep(self._a, list(self._beta), self._cp, [], [], (b, c, chain._check_pivots))
+        matrix = (b, c, chain._check_pivots)
+        _sweep(self._a, list(self._beta), self._cp, [], [], self._negated, matrix)
 
     def solve(self, d: np.ndarray) -> np.ndarray:
         """Solve ``A x = d`` for one ``(m, n)`` right-hand side."""
@@ -292,15 +319,16 @@ class FactoredChain:
         tmp = _new((min(_TILE, n * m),), d_stack.dtype)
         # Every plane spans its system.
         reach = [(0, planes.shape[1])] * len(planes)
-        for alpha, gamma, off in self._steps:
+        for alpha, gamma, off, negated in self._steps:
+            op = _plane_op(negated)
             for cur, lo, hi in _segments(planes.shape[1], off):
                 coeffs = alpha[cur], gamma[cur], tmp[: cur.stop - cur.start]
-                _update_planes(planes, spare, cur, lo, hi, *coeffs, reach)
+                _update_planes(planes, spare, cur, lo, hi, *coeffs, reach, op)
             planes, spare = spare, planes
         ds = planes.reshape((-1,) + self._a.shape)
         # Back substitution reads only d', so x may overwrite d.
         dps = spare.reshape(ds.shape)
-        _sweep(self._a, list(self._beta), self._cp, list(zip(ds, dps)), ds)
+        _sweep(self._a, list(self._beta), self._cp, list(zip(ds, dps)), ds, self._negated)
         return np.ascontiguousarray(np.swapaxes(planes.reshape(-1, n, m), 1, 2))
 
 
@@ -317,15 +345,25 @@ def _new(shape: Tuple[int, ...], dtype, zeroed: bool = False) -> np.ndarray:
     return np.ndarray(shape, dtype, raw, -raw.ctypes.data % _LINE)
 
 
-def _sweep(a, betas, cp, planes, x, matrix=None) -> None:
+def _plane_op(negated: bool):
+    """How a plane takes a product of stored coefficients: ``np.add``
+    where the chain stores ``-a`` and ``-c`` (and the reference's
+    ``alpha``), ``np.subtract`` where it stores ``a`` and ``c``."""
+    return np.add if negated else np.subtract
+
+
+def _sweep(a, betas, cp, planes, x, negated, matrix=None) -> None:
     """Thomas over ``(rows, width)`` views: each row's matrix part, given
     ``matrix = (b, c, check or None)``, writes its pivot to ``betas[row]``
     and ``c'`` to ``cp``, then its plane part runs each ``(d, d')`` pair
     of ``planes`` on that pivot; ``x`` takes one solution per plane. Per
     array these are :func:`~repro.algorithms.thomas.thomas_solve`'s
-    operations in its order."""
+    operations in its order. With ``negated``, ``a`` and ``c`` hold
+    ``-a`` and ``-c``: ``cp`` then holds ``-c'``, the pivot is the
+    same, and the plane part adds where the reference subtracts."""
     rows, width = a.shape
     tmp = _new((width,), a.dtype)
+    op = _plane_op(negated)
     # Row views, built once: indexing a list is cheaper than an array.
     a, cp = list(a), list(cp)
     planes = [(list(d), list(dp)) for d, dp in planes]
@@ -348,7 +386,7 @@ def _sweep(a, betas, cp, planes, x, matrix=None) -> None:
             np.divide(c[i], beta, out=cp[i])
         for d, dp in planes:
             np.multiply(a[i], dp[i - 1], out=tmp)
-            np.subtract(d[i], tmp, out=tmp)
+            op(d[i], tmp, out=tmp)
             np.divide(tmp, beta, out=dp[i])
 
     for xk, (_, dp) in zip(x, planes):
@@ -356,7 +394,7 @@ def _sweep(a, betas, cp, planes, x, matrix=None) -> None:
         np.copyto(xk[-1], dp[-1])
         for i in range(rows - 2, -1, -1):
             np.multiply(cp[i], xk[i + 1], out=tmp)
-            np.subtract(dp[i], tmp, out=xk[i])
+            op(dp[i], tmp, out=xk[i])
 
 
 def _segments(length: int, off: int):
@@ -404,17 +442,19 @@ def _first_set(bits: np.ndarray, size: int, last: bool = False) -> int:
     return n
 
 
-def _pcr_step(src, dst, off, scratch, extents, kept=None) -> list:
+def _pcr_step(src, dst, off, scratch, extents, negated, kept=None) -> list:
     """One PCR step from ``src`` into ``dst``, flat ``a, b, c`` and one
     ``d`` per right-hand-side plane each, coupling positions ``off``
-    apart: per segment the matrix pass, then the plane pass. Returns
+    apart: per segment the matrix pass, then the plane pass. ``src``
+    holds ``-a`` and ``-c`` if ``negated``; ``dst`` always does. Returns
     the planes' extents in ``dst``.
 
-    Per element this is exactly :func:`repro.algorithms.pcr.pcr_step`:
-    the first and last ``off`` positions read the identity equation
-    ``(0, 1, 0, 0)`` for their missing neighbour, as scalars, where the
-    reference reads ``np.pad``'s fill. Given full-length ``kept =
-    (alpha, gamma)``, the coefficients land there, not in the scratch.
+    Per element this is exactly :func:`repro.algorithms.pcr.pcr_step`,
+    up to the stored signs: the first and last ``off`` positions read
+    the identity equation ``(0, 1, 0, 0)`` for their missing neighbour,
+    in the stored sign and as scalars, where the reference reads
+    ``np.pad``'s fill. Given full-length ``kept = (alpha, gamma)``, the
+    coefficients land there, not in the scratch.
 
     A plane holding +0 outside its extent ``[lo, hi)`` can be nonzero
     after the step only within ``[lo - off, hi + off)``, its *reach*;
@@ -425,7 +465,9 @@ def _pcr_step(src, dst, off, scratch, extents, kept=None) -> list:
     anything and finds ``b'`` not all finite runs again with every
     plane spanning its system.
     """
-    identity = tuple(src[1].dtype.type(v) for v in (0, 1, 0))
+    zero = -0.0 if negated else 0.0
+    identity = tuple(src[1].dtype.type(v) for v in (zero, 1, zero))
+    op = _plane_op(negated)
     matrix, planes, out = src[:3], src[3:], dst[:3]
     length = src[1].size
     reach = [
@@ -440,38 +482,41 @@ def _pcr_step(src, dst, off, scratch, extents, kept=None) -> list:
         above = identity if hi is None else [arr[hi] for arr in matrix]
         here = [arr[cur] for arr in matrix]
         _update(here, below, above, [arr[cur] for arr in out], alpha, gamma, tmp)
-        _update_planes(planes, dst[3:], cur, lo, hi, alpha, gamma, tmp, reach)
+        _update_planes(planes, dst[3:], cur, lo, hi, alpha, gamma, tmp, reach, op)
     spans = [(0, length)] * len(reach)
     if reach != spans and not np.isfinite(out[1].sum()):
-        return _pcr_step(src, dst, off, scratch, spans, kept)
+        return _pcr_step(src, dst, off, scratch, spans, negated, kept)
     return reach
 
 
 def _update(cur, below, above, out, alpha, gamma, tmp) -> None:
     """The matrix pass of one segment: ``alpha``, ``gamma`` and ``out =
-    (a', b', c')`` of :func:`~repro.algorithms.pcr.pcr_step`, with the
-    same operations in the same order as the reference."""
+    (-a', b', -c')`` of :func:`~repro.algorithms.pcr.pcr_step`, with the
+    reference's operations in its order. From stored ``s_a = ±a`` and
+    ``s_c = ±c`` (one sign for both) it keeps ``s_a / b`` and ``s_c /
+    b``, the reference's ``alpha`` and ``gamma`` times ``∓1``, so each
+    product below is the reference's negated and ``b'`` subtracts it."""
     a, b, c = cur
     a_lo, b_lo, c_lo = below
     a_hi, b_hi, c_hi = above
-    np.negative(a, out=alpha)
-    np.divide(alpha, b_lo, out=alpha)
-    np.negative(c, out=gamma)
-    np.divide(gamma, b_hi, out=gamma)
+    np.divide(a, b_lo, out=alpha)
+    np.divide(c, b_hi, out=gamma)
     np.multiply(alpha, a_lo, out=out[0])
     np.multiply(alpha, c_lo, out=tmp)
-    np.add(b, tmp, out=out[1])
+    np.subtract(b, tmp, out=out[1])
     np.multiply(gamma, a_hi, out=tmp)
-    np.add(out[1], tmp, out=out[1])
+    np.subtract(out[1], tmp, out=out[1])
     np.multiply(gamma, c_hi, out=out[2])
 
 
-def _update_planes(src, dst, cur, lo, hi, alpha, gamma, tmp, reach) -> None:
+def _update_planes(src, dst, cur, lo, hi, alpha, gamma, tmp, reach, op) -> None:
     """The plane pass of one segment: the ``d`` update of
     :func:`~repro.algorithms.pcr.pcr_step` on positions ``cur`` of every
-    plane, from the segment's ``alpha`` and ``gamma``. A neighbour slice
-    of ``None`` reads the identity equation's ``d = 0``, a Python float
-    that computes in the planes' dtype.
+    plane, from the segment's ``alpha`` and ``gamma``, combined by
+    ``op``: ``np.add`` where they are the reference's, ``np.subtract``
+    where they are its negation. A neighbour slice of ``None`` reads
+    the identity equation's ``d = 0``, a Python float that computes in
+    the planes' dtype.
 
     Each plane is swept only where ``cur`` meets its ``reach``. Outside
     it the plane and both its neighbours hold +0, where the reference
@@ -492,6 +537,6 @@ def _update_planes(src, dst, cur, lo, hi, alpha, gamma, tmp, reach) -> None:
             a, g, t = alpha[k0:k1], gamma[k0:k1], tmp[k0:k1]
         out = out[here]
         np.multiply(a, 0.0 if below is None else d[below], out=t)
-        np.add(d[here], t, out=out)
+        op(d[here], t, out=out)
         np.multiply(g, 0.0 if above is None else d[above], out=t)
-        np.add(out, t, out=out)
+        op(out, t, out=out)

@@ -17,10 +17,18 @@ batch into it once and ``Unpad`` unloads the row-major solution once.
 Every solve opcode runs :class:`~repro.kernels.chain.SplitChain` on that
 view in the original equation order, so no step un-scatters a split
 and ``Interleave``, priced as a tiled transpose, moves no data: fused
-and unfused programs run the same host numerics. A
-:class:`~repro.systems.tridiagonal.SharedMatrixBatch` loads its matrix
+and unfused programs run the same host numerics.
+
+A :class:`~repro.systems.tridiagonal.SharedMatrixBatch` loads its matrix
 once and its ``r`` right-hand sides as ``(r, n, m)`` planes; its program
-is the one for the logical ``r·m``-system batch it stands for.
+is the one for the logical ``r·m``-system batch it stands for. ``Pad``
+copies each coefficient array and each dense plane once, straight from
+the caller's arrays (for a SPIKE chunk, views of the whole batch), and
+writes +0 over the two coupling corners as it copies. An impulse plane
+is a zeroed plane with its one row written. ``Pad`` knows every plane's
+extent as it loads it and hands them to the chain: plane 0, the data,
+spans its system, an impulse is its row, and only a further dense plane
+is scanned for its nonzero rows.
 """
 
 from __future__ import annotations
@@ -48,7 +56,7 @@ from ..util.errors import PlanError
 from ..util.validation import next_power_of_two
 from .base import KernelContext
 from .batched import BatchedSweepKernel
-from .chain import SplitChain, _new
+from .chain import SplitChain, _extent, _new
 from .coop_pcr import CoopPcrKernel
 from .elementwise import ReconstructKernel, TransposeKernel
 from .global_pcr import GlobalPcrKernel
@@ -124,12 +132,15 @@ class ExecState:
     recycles it as its spare buffer set. A :class:`SharedMatrixBatch`
     of ``r`` planes loads ``d`` and solves ``x`` as ``(r, n_pad, m)``,
     and ``Unpad`` unloads its logical row-major ``(r·m, n)`` answer.
+    ``extents`` are the loaded planes' extents for the chain, ``None``
+    when every plane spans its system.
     """
 
     work: Union[TridiagonalBatch, SharedMatrixBatch, BatchedTridiagonal]
     x: Optional[np.ndarray] = None  # solution, once the on-chip solve ran
     original_n: int = 0  # pre-padding system size, for Unpad
     owned: bool = False  # whether work is Pad's private copy
+    extents: Optional[List[Tuple[int, int]]] = None
     chain: Optional[SplitChain] = None  # the split stages, until the solve
 
     @classmethod
@@ -140,19 +151,32 @@ class ExecState:
         return cls(work=batch, original_n=batch.system_size)
 
 
-def _load(
-    batch: Union[TridiagonalBatch, SharedMatrixBatch], size: int
-) -> Tuple[BatchedTridiagonal, bool]:
+def _load(batch: Union[TridiagonalBatch, SharedMatrixBatch], size: int):
     """``pad_pow2(batch)`` as ``(size, m)`` arrays, ``d`` as ``(r, size,
-    m)`` for ``r`` planes, and whether it copied."""
+    m)`` for ``r`` planes; the planes' extents (``None``: each spans its
+    system); and whether it copied."""
     m, n = batch.b.shape
     arrays = (batch.a, batch.b, batch.c, batch.d)
-    if m == 1 and n == size:
-        return BatchedTridiagonal(*(np.swapaxes(arr, -1, -2) for arr in arrays)), False
-    loaded = [_new(arr.shape[:-2] + (size, m), batch.dtype) for arr in arrays]
+    if isinstance(batch, TridiagonalBatch):
+        if m == 1 and n == size:
+            return BatchedTridiagonal(*(arr.T for arr in arrays)), None, False
+        d = dense = _new((size, m), batch.dtype)
+    else:
+        d = _new((batch.planes, size, m), batch.dtype)
+        dense = d[: len(batch.d)]
+    loaded = [_new((size, m), batch.dtype) for _ in range(3)] + [dense]
     for out, arr, fill in zip(loaded, arrays, (0, 1, 0, 0)):
         out[..., :n, :], out[..., n:, :] = np.swapaxes(arr, -1, -2), fill
-    return BatchedTridiagonal(*loaded), True
+    extents = None
+    if isinstance(batch, SharedMatrixBatch):
+        # The matrix's corners may hold couplings; the chain reads +0.
+        loaded[0][0] = loaded[2][n - 1] = 0
+        extents = [(0, size * m)] + [_extent(plane) for plane in dense[1:]]
+        for plane, (row, values) in zip(d[len(dense) :], batch.impulses):
+            plane.fill(0)
+            plane[row] = values
+            extents.append((row * m, (row + 1) * m))
+    return BatchedTridiagonal(*loaded[:3], d), extents, True
 
 
 def execute_step(step: Step, state: ExecState) -> None:
@@ -165,12 +189,14 @@ def execute_step(step: Step, state: ExecState) -> None:
                 f"plan was built for padded size {op.padded_size}, batch "
                 f"pads to {next_power_of_two(n)}"
             )
-        state.work, state.owned = _load(state.work, op.padded_size)
+        state.work, state.extents, state.owned = _load(state.work, op.padded_size)
         state.original_n = n
         return
     if isinstance(op, (SplitCoop, SplitBlock, OnChipSolve, BatchedSolve)):
         if state.chain is None:
-            state.chain = SplitChain.of(state.work, owned=state.owned)
+            state.chain = SplitChain.of(
+                state.work, owned=state.owned, extents=state.extents
+            )
         chain = state.chain
         if isinstance(op, (SplitCoop, SplitBlock)):
             chain.split(op.steps)

@@ -223,42 +223,65 @@ class TridiagonalBatch:
 class SharedMatrixBatch:
     """``m`` tridiagonal matrices, each against ``r`` right-hand sides.
 
-    ``a``, ``b`` and ``c`` are ``(m, n)`` as in :class:`TridiagonalBatch`;
-    ``d`` is an ``(r, m, n)`` stack of right-hand-side planes, the
-    convention of :meth:`~repro.kernels.chain.FactoredChain.solve_many`.
+    ``a``, ``b`` and ``c`` are ``(m, n)`` as in :class:`TridiagonalBatch`,
+    but may be views of a wider batch's columns (one SPIKE chunk's rows):
+    ``a[:, 0]`` and ``c[:, -1]`` are not part of the matrix, may hold
+    couplings to the neighbouring rows, and read as +0. ``d`` is a
+    ``(k, m, n)`` stack of dense right-hand-side planes, the convention
+    of :meth:`~repro.kernels.chain.FactoredChain.solve_many`; plane 0 is
+    the data. ``impulses`` are further planes that are +0 but in one
+    row, each ``(row, values)`` with ``values`` shaped ``(m,)``: SPIKE's
+    spikes, described without storing their zeros. Nothing is copied.
+
     It stands for the row-major batch :meth:`tiled` builds, ``r·m``
-    systems with plane ``k`` as systems ``[k·m, (k+1)·m)``, and reports
-    that batch's shape and bytes, so prices and memory-fit checks see
-    the systems a device holds while the host stores each matrix once.
+    systems for ``r = k + len(impulses)`` with plane ``j`` as systems
+    ``[j·m, (j+1)·m)``, and reports that batch's shape and bytes, so
+    prices and memory-fit checks see the systems a device holds while
+    the host stores each matrix once.
     """
 
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
     d: np.ndarray
+    impulses: Tuple[Tuple[int, np.ndarray], ...] = ()
 
     def __post_init__(self) -> None:
+        a, b, c = (_as_2d(getattr(self, name), name) for name in "abc")
+        check_same_shape([a, b, c], ["a", "b", "c"])
+        dtype = check_dtype(b, "b")
+        m, n = b.shape
+        if n < 1:
+            raise ShapeError("systems must have at least one equation")
         d = np.asarray(self.d)
-        if d.ndim != 3 or d.shape[0] < 1:
+        if d.ndim != 3 or d.shape[0] < 1 or d.shape[1:] != (m, n):
             raise ShapeError(
-                f"d must be an (r, m, n) stack with r >= 1, got shape {d.shape}"
+                f"d must be a (k, {m}, {n}) stack with k >= 1, got shape {d.shape}"
             )
-        # Plane 0 with the matrix is a TridiagonalBatch: same checks.
-        matrix = TridiagonalBatch(self.a, self.b, self.c, d[0])
-        object.__setattr__(self, "a", matrix.a)
-        object.__setattr__(self, "b", matrix.b)
-        object.__setattr__(self, "c", matrix.c)
-        object.__setattr__(self, "d", np.ascontiguousarray(d))
+        impulses = tuple((int(row), np.asarray(values)) for row, values in self.impulses)
+        for row, values in impulses:
+            if not 0 <= row < n or values.shape != (m,):
+                raise ShapeError(
+                    f"an impulse is a row in [0, {n}) and ({m},) values, got "
+                    f"row {row} and shape {values.shape}"
+                )
+        for name, arr in (("a", a), ("c", c), ("d", d), *(("impulse", v) for _, v in impulses)):
+            if arr.dtype != dtype:
+                raise ShapeError(
+                    f"{name} has dtype {arr.dtype}, expected {dtype} (same as b)"
+                )
+        for name, arr in (("a", a), ("b", b), ("c", c), ("d", d), ("impulses", impulses)):
+            object.__setattr__(self, name, arr)
 
     @property
     def planes(self) -> int:
         """Right-hand sides per matrix, ``r``."""
-        return self.d.shape[0]
+        return len(self.d) + len(self.impulses)
 
     @property
     def num_systems(self) -> int:
         """Logical system count ``r·m``."""
-        return self.d.shape[0] * self.d.shape[1]
+        return self.planes * self.b.shape[0]
 
     @property
     def system_size(self) -> int:
@@ -278,17 +301,19 @@ class SharedMatrixBatch:
     @property
     def nbytes(self) -> int:
         """Bytes of the logical batch: four ``(r·m, n)`` arrays."""
-        return 4 * self.d.nbytes
+        return 4 * self.num_systems * self.system_size * self.dtype.itemsize
 
     def tiled(self) -> TridiagonalBatch:
-        """The logical batch: the matrix repeated once per plane."""
-        r = self.planes
-        return TridiagonalBatch(
-            np.tile(self.a, (r, 1)),
-            np.tile(self.b, (r, 1)),
-            np.tile(self.c, (r, 1)),
-            self.d.reshape(self.num_systems, self.system_size),
-        )
+        """The logical batch: the matrix with +0 corners repeated once per
+        plane, and every plane dense."""
+        r, k = self.planes, len(self.d)
+        a, b, c = (np.tile(arr, (r, 1)) for arr in (self.a, self.b, self.c))
+        a[:, 0] = c[:, -1] = 0
+        d = np.zeros((r,) + self.b.shape, dtype=self.dtype)
+        d[:k] = self.d
+        for plane, (row, values) in zip(d[k:], self.impulses):
+            plane[:, row] = values
+        return TridiagonalBatch(a, b, c, d.reshape(self.shape))
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,14 @@ may change no bit. Every :class:`~repro.core.MultiStageSolver` line
 also holds execute mode to price mode: equal ``total_ms``,
 ``stage_ms()`` and span trees.
 Adding a path is one line in :data:`PATHS`.
+
+The ``SPIKE chunks`` line runs every chunk's three-RHS local solve of
+the distributed row modes as the distributed solver does, through
+``Pad``'s one load of :func:`~repro.algorithms.spike.spike_rhs`'s views
+and impulse planes, and holds it bit for bit to the reference on the
+tiled ``spike_rhs(chunk).tiled()``. Some drawn sizes give power-of-two
+chunks next to one that pads, and drawn systems hold +0 or -0 in their
+couplings.
 """
 
 import asyncio
@@ -35,6 +43,7 @@ from repro.algorithms import default_tolerance, factorize, max_residual
 from repro.algorithms.padding import pad_pow2, unpad_solution
 from repro.algorithms.pcr import pcr_split, pcr_unsplit_solution
 from repro.algorithms.pcr_thomas import pcr_thomas_solve
+from repro.algorithms.spike import MIN_CHUNK_ROWS, partition_bounds, spike_rhs, split_chunks
 from repro.core import MultiStageSolver, SwitchPoints
 from repro.core.planner import plan_solve
 from repro.dist import DistributedSolver
@@ -44,7 +53,7 @@ from repro.obs import Tracer
 from repro.serve import AsyncSolveService
 from repro.service import BatchSolveService
 from repro.systems import generators
-from repro.systems.tridiagonal import SharedMatrixBatch
+from repro.systems.tridiagonal import SharedMatrixBatch, TridiagonalBatch
 from repro.util.validation import ilog2, is_power_of_two, next_power_of_two
 from tests.conftest import examples, line_offsets, misaligned
 
@@ -83,6 +92,8 @@ class Case:
     # impulse plane (+0 elsewhere, like SPIKE's spikes).
     extra_planes: tuple
     fuse: object
+    # Per system: None, or the zero its couplings between chunks hold.
+    coupling_zeros: tuple
 
     @property
     def shared(self) -> SharedMatrixBatch:
@@ -97,6 +108,17 @@ class Case:
                 plane[:, row] = rng.standard_normal(b.num_systems)
         return SharedMatrixBatch(b.a, b.b, b.c, np.concatenate([b.d[None], more]))
 
+    @property
+    def coupled(self) -> repro.TridiagonalBatch:
+        """The batch with each system's drawn zero in its couplings
+        across the distributed solvers' chunk boundaries."""
+        a, c = self.batch.a.copy(), self.batch.c.copy()
+        for start, _ in partition_bounds(self.batch.system_size, DIST_DEVICES)[1:]:
+            for s, zero in enumerate(self.coupling_zeros):
+                if zero is not None:
+                    a[s, start] = c[s, start - 1] = zero
+        return TridiagonalBatch(a, self.batch.b, c, self.batch.d)
+
 
 @st.composite
 def _cases(draw):
@@ -106,6 +128,8 @@ def _cases(draw):
         st.one_of(
             st.integers(min_value=3, max_value=12).map(lambda k: 1 << k),
             st.integers(min_value=8, max_value=3000),
+            # One chunk of 2^k + 1 rows, the others of 2^k.
+            st.integers(min_value=2, max_value=10).map(lambda k: (DIST_DEVICES << k) + 1),
         )
     )
     switch = SwitchPoints(
@@ -130,6 +154,9 @@ def _cases(draw):
             )
         ),
         fuse=draw(st.sampled_from([False, True, "auto"])),
+        coupling_zeros=tuple(
+            draw(st.lists(st.sampled_from([None, 0.0, -0.0]), min_size=m, max_size=m))
+        ),
     )
 
 
@@ -139,11 +166,12 @@ def _cases(draw):
 # batch it solves, which the oracle plans and solves independently.
 
 
-def _single_device(problem, switch, fuse):
-    """One :class:`MultiStageSolver` solve, executed and then priced."""
+def _single_device(problem, switch, fuse, plan=None):
+    """One :class:`MultiStageSolver` solve, executed and then priced; on
+    ``plan`` if given, else on the solver's own."""
     tracer = Tracer()
     solver = MultiStageSolver(DEVICE, switch, fuse=fuse, tracer=tracer)
-    plan = solver.plan_for(problem)
+    plan = plan or solver.plan_for(problem)
     result = solver.execute_plan(problem, plan, switch)
     priced_tracer = Tracer()
     engine = Engine.for_device(DEVICE)
@@ -193,6 +221,23 @@ def _dist(case, mode, tolerance=None):
     return [(case.batch, result.x)]
 
 
+def _spike_chunks(case):
+    """Every chunk's local solve in each distributed row mode, on that
+    mode's local plans, fused as in pipelined mode."""
+    batch = case.coupled
+    n = batch.system_size
+    if n < DIST_DEVICES * MIN_CHUNK_ROWS:
+        return []
+    chunks = split_chunks(batch, partition_bounds(n, DIST_DEVICES))
+    answers = []
+    for mode in ("rows", "pipelined", "approx"):
+        plan = DistributedSolver(DIST_DEVICES, case.switch, mode=mode).plan_for(batch)
+        for chunk, local in zip(chunks, plan.local_plans):
+            problem = spike_rhs(chunk)
+            answers += _single_device(problem, case.switch, mode == "pipelined", local)
+    return answers
+
+
 def _factored(case):
     """Factor the batch at the PCR depth its plan runs; ``solve`` its own
     right-hand side and ``solve_many`` the drawn planes."""
@@ -218,6 +263,7 @@ PATHS = (
     ("fuse=True", EXACT, lambda c: _single_device(c.batch, c.switch, True)),
     ("fuse=auto", EXACT, lambda c: _single_device(c.batch, c.switch, "auto")),
     ("SharedMatrixBatch", EXACT, lambda c: _single_device(c.shared, c.switch, c.fuse)),
+    ("SPIKE chunks", EXACT, _spike_chunks),
     ("BatchSolveService", EXACT, _batch_service),
     ("AsyncSolveService sync", EXACT, lambda c: _async_service(c, awaited=False)),
     ("AsyncSolveService awaited", EXACT, lambda c: _async_service(c, awaited=True)),

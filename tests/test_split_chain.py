@@ -23,12 +23,13 @@ allocation.
 A :class:`SharedMatrixBatch` of ``r`` right-hand-side planes must solve
 and fail exactly like the tiled batch it stands for, priced the same,
 while the chain does the matrix's work once: the operation-count tests
-pin ``10 + 4r`` ufunc calls per PCR segment and ``3 + 3r`` per forward
-Thomas row. A factored solve replays the plane passes alone: ``4r`` per
-segment and ``3r`` per forward row. A plane that is +0 outside a few
+pin ``8 + 4r`` ufunc calls per PCR segment (the chain stores ``-a`` and
+``-c``, so no segment negates) and ``3 + 3r`` per forward Thomas row.
+A factored solve replays the plane passes alone: ``4r`` per segment and
+``3r`` per forward row. A plane that is +0 outside a few
 rows, as SPIKE's spikes are, is swept only on the segments its nonzero
-rows can reach, and solves bit for bit like the tiled batch all the
-same, zero pivots included.
+rows can reach (``Pad`` hands the chain each plane's extent), and solves
+bit for bit like the tiled batch all the same, zero pivots included.
 """
 
 import tracemalloc
@@ -433,7 +434,7 @@ class TestAlignment:
         numpy = _RecordingNumpy()
         monkeypatch.setattr(chain, "np", numpy)
         factors = factorize(batch, 4)
-        kept = [arr for alpha, gamma, _ in factors._steps for arr in (alpha, gamma)]
+        kept = [arr for alpha, gamma, *_ in factors._steps for arr in (alpha, gamma)]
         self._check(numpy, *kept, factors._a, factors._beta, factors._cp)
         factors.solve_many(np.stack([batch.d, batch.d]))
         self._check(numpy)
@@ -490,7 +491,7 @@ class TestSharedMatrixWork:
         )
         split.split(1)
         assert len(segments) == 4
-        assert numpy.calls == len(segments) * (10 + 4 * (planes or 1))
+        assert numpy.calls == len(segments) * (8 + 4 * (planes or 1))
 
     def test_impulse_planes_sweep_only_segments_they_reach(self, monkeypatch):
         """A dense plane next to impulses in the first and last rows: two
@@ -503,7 +504,7 @@ class TestSharedMatrixWork:
         work, _ = _impulses(batch, [0, n - 1], seed=8)
         state = ExecState.for_batch(work)
         _run(state, Pad(n))
-        split = SplitChain.of(state.work)
+        split = SplitChain.of(state.work, extents=state.extents)
         numpy, segments = _CountingNumpy(), []
         update = chain._update
         monkeypatch.setattr(chain, "np", numpy)
@@ -513,7 +514,7 @@ class TestSharedMatrixWork:
         split.split(2)
         assert len(segments) == 2 * 4
         planes_met = len(segments) + 2 * 2 + 2 * 2  # dense, first, last
-        assert numpy.calls == len(segments) * 10 + planes_met * 4 + 2
+        assert numpy.calls == len(segments) * 8 + planes_met * 4 + 2
 
     @pytest.mark.parametrize("planes", [None, 1, 2, 3])
     def test_thomas_calls_per_row(self, monkeypatch, planes):
