@@ -13,10 +13,11 @@ Both modes run one overlap-aware list scheduler. Every device exposes
 independent compute, egress, and ingress lanes (see
 :attr:`~repro.ir.instructions.Step.resource_keys`); ready steps are
 placed greedily at their earliest feasible start, ties resolving to
-program order. A compute step runs its numerics (execute mode only) and
-then places the handlers' :class:`~repro.gpu.cost.KernelCost` launches
-for its shape in the program back to back from its start on its
-device's compute lane. A step's price is thus a function of the program
+program order. A compute step places the handlers'
+:class:`~repro.gpu.cost.KernelCost` launches for its shape in the
+program back to back from its start on its device's compute lane, and
+runs its numerics (execute mode only) when the placement is replayed.
+A step's price is thus a function of the program
 alone, the two modes' clocks are bit-identical by construction, and
 execute rejects a batch whose system count or value size is not the
 program's. A ``Transfer`` claims its source's egress and destination's

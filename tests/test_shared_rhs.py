@@ -76,9 +76,9 @@ def test_verify_checks_the_tiled_batch(monkeypatch):
 @pytest.mark.parametrize("fuse", [False, True])
 def test_local_solve_peak_memory(fuse):
     """A dist8 local solve peaks below 1.4x its logical (12, 8192) batch
-    (it measures 1.29x, 1.54x before ``Pad`` loaded the chunk's views
-    once): the matrix is neither tiled nor copied before the load, and
-    the spikes' zeros are written once, into the chain's layout."""
+    (it measures 1.29x): the matrix is neither tiled nor copied before
+    the load, and the spikes' zeros are written once, into the chain's
+    layout."""
     chunk, local, plan, switch = _dist8_chunk(fuse)
     tracemalloc.start()
     try:
